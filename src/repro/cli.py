@@ -741,6 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     dispute.add_argument("--dataset", help="dataset id of the claims (default: input file stem)")
     add_url(dispute)
     add_json(dispute)
+    add_trace(dispute)
     dispute.set_defaults(func=_cmd_dispute)
 
     serve = subparsers.add_parser(

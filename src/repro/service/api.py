@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from repro.binning.binner import BinnedTable
 from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
@@ -31,14 +31,19 @@ from repro.ontology.registry import standard_ontology
 from repro.relational.schema import TableSchema, medical_schema
 from repro.relational.table import Table
 from repro.service.executor import ShardExecutor
-from repro.service.runners import ProtectPlan, ShardRunner, WatermarkerSpec
+from repro.service.runners import DisputePlan, ProtectPlan, ShardRunner, WatermarkerSpec
 from repro.service.store import ClaimStore
 from repro.service.streaming import DEFAULT_CHUNK_SIZE, iter_rows
 from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, VaultError
 from repro.telemetry.trace import span as _stage_span
 from repro.watermarking.hierarchical import DetectionReport
 from repro.watermarking.mark import Mark, mark_loss
-from repro.watermarking.ownership import DisputeVerdict, OwnershipClaim
+from repro.watermarking.ownership import (
+    DisputeVerdict,
+    OwnershipClaim,
+    identifier_total,
+    statistic_from_total,
+)
 
 __all__ = [
     "DEFAULT_TENANT",
@@ -319,23 +324,23 @@ class ProtectionService:
             column: {leaf: 0 for leaf in self._trees[column].leaves()} for column in quasi
         }
         trees = {column: self._trees[column] for column in quasi}
-        ident_sum = 0.0
-        ident_count = 0
         rows = 0
-        with _stage_span("protect.pass1") as pass1_scope:
+
+        def identifiers() -> Iterator[object]:
+            # One sweep feeds both aggregates: leaf counts here, the
+            # identifier total from what this generator yields.
+            nonlocal rows
             for row in iter_rows(input_csv, schema):
                 rows += 1
-                for column in identifying:
-                    text = str(row[column])
-                    if text.isdigit():
-                        ident_sum += float(int(text))
-                        ident_count += 1
                 for column in quasi:
                     leaf_counts[column][trees[column].leaf_for_raw(row[column])] += 1
+                for column in identifying:
+                    yield row[column]
+
+        with _stage_span("protect.pass1") as pass1_scope:
+            ident_total, ident_count = identifier_total(identifiers())
             pass1_scope.set(rows=rows)
-        if ident_count == 0:
-            raise ValueError("no numeric identifiers: cannot compute the ownership statistic")
-        statistic = ident_sum / ident_count
+        statistic = statistic_from_total(ident_total, ident_count)
 
         mark = framework.register_statistic(statistic)
         agent = framework.binning_agent
@@ -345,7 +350,7 @@ class ProtectionService:
         watermarker = framework.watermarker()
 
         # Pass 2 — rewrite + embed + emit, chunk by chunk on the runner.
-        executor = self._protect_executor_for(workers, runner)
+        executor = self._local_executor_for(workers, runner)
         run = executor.protect_csv(
             ProtectPlan(
                 spec=WatermarkerSpec.of(watermarker),
@@ -540,20 +545,21 @@ class ProtectionService:
             runner=runner if runner is not None else self._executor.runner,
         )
 
-    def _protect_executor_for(
+    def _local_executor_for(
         self, workers: int | None, runner: "str | ShardRunner | None"
     ) -> ShardExecutor:
-        """Like :meth:`_executor_for`, but protect-capable.
+        """Like :meth:`_executor_for`, but on a runner that may see keys.
 
-        A service whose *default* runner is a detect fleet (a ``repro serve
-        --runner remote`` coordinator) still protects — pass 2 falls back to
-        the local thread runner, exactly the pre-parallel behavior.  Only an
-        *explicitly requested* fleet runner is refused (by the executor,
-        before the output file exists), so asking for the impossible stays
-        loud while the default deployment keeps working.
+        Protect's pass 2 (raw identifiers) and dispute (decryption keys) run
+        only on local runners.  A service whose *default* runner is a detect
+        fleet (a ``repro serve --runner remote`` coordinator) falls back to
+        the local thread runner for them.  Only an *explicitly requested*
+        fleet runner is refused (by the executor, before protect's output
+        file exists), so asking for the impossible stays loud while the
+        default deployment keeps working.
         """
         executor = self._executor_for(workers, runner)
-        if executor.runner.supports_protect or runner is not None:
+        if executor.runner.is_local or runner is not None:
             return executor
         return ShardExecutor(
             workers if workers is not None else executor.max_workers, runner="thread"
@@ -579,18 +585,45 @@ class ProtectionService:
         ``protect``, plus any rivals registered since) are re-hydrated and
         assessed per Section 5.4.  *tenant_id* picks the registry parameters
         (``τ``, mark length, bit-error tolerance) — the court's configuration.
+
+        The file streams chunk by chunk on the service's runner: workers
+        decrypt and collect each claim's evidence per chunk, the evidence
+        merges in chunk order and every claim is finalised once — the same
+        verdict as ``framework.resolve_dispute`` over the materialised table.
+        Decryption keys never reach a detect fleet: under a remote default
+        runner the dispute runs on the local thread runner.
         """
+        with _stage_span("service.dispute"):
+            return self._dispute(
+                tenant_id, disputed_csv, dataset_id=dataset_id, extra_claims=extra_claims
+            )
+
+    def _dispute(
+        self,
+        tenant_id: str,
+        disputed_csv: str,
+        *,
+        dataset_id: str | None,
+        extra_claims: tuple[OwnershipClaim, ...],
+    ) -> DisputeVerdict:
         record = self._vault.tenant(tenant_id)
-        framework = self.framework_for(tenant_id)
+        registry = self.framework_for(tenant_id).registry
         dataset_id = dataset_id or dataset_id_for(disputed_csv)
         claims = self._claims.claims(dataset_id) + list(extra_claims)
         if not claims:
             raise VaultError(f"no claims stored for dataset {dataset_id!r}")
-        table = Table(self._schema, iter_rows(disputed_csv, self._schema))
-        binned = suspect_view(
-            table, self._trees, self._schema, k=record.k, metrics_depth=record.metrics_depth
+        plan = DisputePlan.of(
+            registry,
+            claims,
+            self._schema,
+            _suspect_metadata(self._trees, self._schema, record.k, record.metrics_depth),
         )
-        verdict = framework.resolve_dispute(binned, claims)
+        executor = self._local_executor_for(None, None)
+        evidence = executor.dispute_csv(plan, disputed_csv, chunk_size=self._chunk_size)
+        with _stage_span("dispute.finalize", claims=len(claims)):
+            verdict = DisputeVerdict(
+                tuple(registry.finalize_claim(part, claim) for part, claim in zip(evidence, claims))
+            )
         self._record_audit(
             "dispute",
             tenant_id,

@@ -35,6 +35,12 @@ Protect workers do ship rows back (the result *is* the rows), but they also
 carry parsing, encryption, generalisation, embedding and serialisation, so a
 process pool wins where the in-memory :meth:`ShardExecutor.embed` (rows in
 *both* directions, no parse work) stays thread-based.
+
+The Section 5.4 dispute is the detect-side pattern again
+(:meth:`ShardExecutor.dispute_csv`): the runner maps
+:func:`~repro.service.runners.dispute_raw_chunk` over raw chunks, and each
+claim's :class:`~repro.watermarking.ownership.ClaimEvidence` merges in chunk
+order, so finalising it reproduces the whole-table assessment.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.service.runners import (
     PROTECT_UNSUPPORTED_ERROR,
+    DisputePlan,
     ProtectPlan,
     ShardRunner,
     resolve_runner,
@@ -62,6 +69,7 @@ from repro.watermarking.hierarchical import (
     HierarchicalWatermarker,
 )
 from repro.watermarking.mark import Mark
+from repro.watermarking.ownership import ClaimEvidence
 
 __all__ = ["shard_spans", "shard_binned", "ProtectRun", "ShardExecutor"]
 
@@ -244,7 +252,7 @@ class ShardExecutor:
         that cannot carry protect (the remote fleet) is refused *before* the
         output file is created, so a refusal leaves nothing behind.
         """
-        if not self._runner.supports_protect:
+        if not self._runner.is_local:
             raise ValueError(PROTECT_UNSUPPORTED_ERROR)
         rows = 0
         tuples_selected = 0
@@ -265,6 +273,31 @@ class ShardExecutor:
             cells_changed=cells_changed,
             chunk_seconds=tuple(chunk_seconds),
         )
+
+    # ------------------------------------------------------------------ dispute
+    def dispute_csv(
+        self, plan: DisputePlan, path: str, *, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> list[ClaimEvidence]:
+        """Every claim's evidence over *path*, merged in chunk order.
+
+        The runner parses, decrypts and collects per raw chunk
+        (:func:`~repro.service.runners.dispute_raw_chunk`); merging in chunk
+        order makes each claim's evidence equal to one collection over the
+        materialised table, so finalising it gives the in-memory verdict.  A
+        header-only file yields every claim's empty evidence.
+        """
+        merged: list[ClaimEvidence] | None = None
+        for evidence in self._runner.dispute_csv(
+            plan, path, chunk_size=chunk_size, max_workers=self._max_workers
+        ):
+            if merged is None:
+                merged = list(evidence)
+            else:
+                for total, part in zip(merged, evidence):
+                    total.merge(part)
+        if merged is None:
+            merged = [plan.registry.empty_evidence(claim) for claim in plan.claims]
+        return merged
 
     # ---------------------------------------------------------------- embedding
     def embed(

@@ -44,18 +44,26 @@ pays off here.  The :class:`RemoteRunner` refuses protect: shipping every row
 across the network twice has no CPU story, and the vault-owning coordinator
 is the only process that may see raw identifiers.
 
-All runners are stateless across calls: pools live for one ``collect*`` or
-``protect*`` call (the remote fleet's failure bookkeeping too), so a runner
-instance can be shared by many executors and services.
+The Section 5.4 dispute rides the same raw-chunk map:
+:meth:`ShardRunner.dispute_csv` runs :func:`dispute_raw_chunk` per chunk —
+parse, decrypt the identifying column under each claimant's key, collect
+each claimant's votes — and yields one mergeable
+:class:`~repro.watermarking.ownership.ClaimEvidence` per claim per chunk.
+Claims carry encryption keys, so the remote fleet refuses disputes too.
+
+All runners are stateless across calls: pools live for one ``collect*``,
+``protect*`` or ``dispute*`` call (the remote fleet's failure bookkeeping
+too), so a runner instance can be shared by many executors and services.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections import deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.binning.binner import BinnedTable, rewrite_table
@@ -89,11 +97,18 @@ from repro.telemetry.trace import (
 from repro.watermarking.hierarchical import DetectionVotes, HierarchicalWatermarker
 from repro.watermarking.keys import WatermarkKey
 from repro.watermarking.mark import Mark
+from repro.watermarking.ownership import (
+    ClaimEvidence,
+    OwnershipClaim,
+    OwnershipRegistry,
+    claim_watermarker,
+)
 
 __all__ = [
     "WatermarkerSpec",
     "ProtectPlan",
     "ProtectedChunk",
+    "DisputePlan",
     "ShardRunner",
     "ThreadRunner",
     "ProcessRunner",
@@ -101,8 +116,10 @@ __all__ = [
     "FleetError",
     "RUNNER_NAMES",
     "PROTECT_UNSUPPORTED_ERROR",
+    "DISPUTE_UNSUPPORTED_ERROR",
     "collect_raw_chunk",
     "protect_raw_chunk",
+    "dispute_raw_chunk",
     "REMOTE_RUNNER_NAME",
     "resolve_runner",
 ]
@@ -113,6 +130,13 @@ __all__ = [
 PROTECT_UNSUPPORTED_ERROR = (
     "the remote runner is detect-only: protect ships rows, not votes "
     "(use --runner thread or --runner process for parallel protect)"
+)
+
+#: The remote runner's refusal of a dispute (a backstop: the service runs
+#: disputes on a local runner whatever its default).
+DISPUTE_UNSUPPORTED_ERROR = (
+    "the remote runner is detect-only: a dispute decrypts identifiers, and "
+    "decryption keys never leave the vault's host"
 )
 
 _SENTINEL = object()
@@ -214,29 +238,20 @@ def collect_raw_chunk(
     """
     with _stage_span("detect.parse", lines=len(lines)):
         table = ColumnarTable.from_csv_chunk(schema, header, lines)
-    with _stage_span("detect.frame", rows=len(table)):
-        binned = BinnedTable(table=table, **metadata)
+    binned = BinnedTable(table=table, **metadata)
     return len(table), _worker_watermarker(spec).collect_votes(binned, mark_length)
 
 
-def _collect_chunk_task(
-    context: TraceContext | None,
-    spec: WatermarkerSpec,
-    schema: TableSchema,
-    metadata: Mapping[str, object],
-    header: str,
-    lines: list[str],
-    mark_length: int,
-) -> tuple[int, DetectionVotes, tuple]:
-    """:func:`collect_raw_chunk` under a propagated trace scope.
+def _traced_task(context: TraceContext | None, task: Callable, /, *args) -> tuple[object, tuple]:
+    """``(task(*args), spans)`` under a propagated trace scope.
 
-    The third element is the spans recorded by a *foreign-process* worker
-    (``()`` in-process, where spans go straight into the live tracer) — the
-    submitting side ingests them into the request's tracer.
+    *spans* is what a *foreign-process* worker recorded (``()`` in-process,
+    where spans go straight into the live tracer) — the submitting side
+    ingests them into the request's tracer.
     """
     with _trace_adopt(context) as local:
-        rows, votes = collect_raw_chunk(spec, schema, metadata, header, lines, mark_length)
-    return rows, votes, tuple(local.export()) if local is not None else ()
+        result = task(*args)
+    return result, tuple(local.export()) if local is not None else ()
 
 
 def _run_in_trace_scope(context: TraceContext | None, fn: Callable, /, *args):
@@ -277,11 +292,6 @@ class ProtectedChunk:
     output file byte-identically to a serial emit.  *seconds* is the worker's
     own wall clock over the chunk (parse through serialise), reported per
     chunk in the protect report.
-
-    *spans* carries the chunk's telemetry spans when the work ran in a
-    foreign process under a traced request (see
-    :mod:`repro.telemetry.trace`); it is always ``()`` untraced and never
-    affects the output text.
     """
 
     rows: int
@@ -289,7 +299,6 @@ class ProtectedChunk:
     cells_changed: int
     seconds: float
     text: str
-    spans: tuple = ()
 
 
 def protect_raw_chunk(plan: ProtectPlan, header: str, lines: list[str]) -> ProtectedChunk:
@@ -335,20 +344,61 @@ def protect_raw_chunk(plan: ProtectPlan, header: str, lines: list[str]) -> Prote
     )
 
 
-def _protect_chunk_task(
-    context: TraceContext | None, plan: ProtectPlan, header: str, lines: list[str]
-) -> ProtectedChunk:
-    """:func:`protect_raw_chunk` under a propagated trace scope.
+@dataclass(frozen=True)
+class DisputePlan:
+    """Everything a streamed dispute's per-chunk evidence collection needs, picklable.
 
-    Spans recorded in a foreign process come back on the chunk itself
-    (``ProtectedChunk.spans``); in-process they go straight into the live
-    tracer and the field stays empty.
+    One :class:`WatermarkerSpec` per claim (*specs*, in claim order) rebuilds
+    each claimant's detector in the worker; the claims themselves carry the
+    encryption keys, which is why a dispute only ever runs on local runners.
+    *registry* carries the court's parameters (mark length above all).
     """
-    with _trace_adopt(context) as local:
-        chunk = protect_raw_chunk(plan, header, lines)
-    if local is not None:
-        chunk = replace(chunk, spans=tuple(local.export()))
-    return chunk
+
+    registry: OwnershipRegistry
+    claims: tuple[OwnershipClaim, ...]
+    specs: tuple[WatermarkerSpec, ...]
+    schema: TableSchema
+    metadata: Mapping[str, object]
+
+    @classmethod
+    def of(
+        cls,
+        registry: OwnershipRegistry,
+        claims: Sequence[OwnershipClaim],
+        schema: TableSchema,
+        metadata: Mapping[str, object],
+    ) -> "DisputePlan":
+        """The plan for *claims*, each paired with the spec of its claimant's detector."""
+        return cls(
+            registry=registry,
+            claims=tuple(claims),
+            specs=tuple(WatermarkerSpec.of(claim_watermarker(claim)) for claim in claims),
+            schema=schema,
+            metadata=metadata,
+        )
+
+
+def dispute_raw_chunk(plan: DisputePlan, header: str, lines: list[str]) -> tuple[ClaimEvidence, ...]:
+    """Pool task: parse one raw CSV chunk and collect every claim's evidence on it.
+
+    The chunk parses columnar exactly like :func:`collect_raw_chunk`; per
+    claim, an encryptor is built once for the chunk and the detector comes
+    from the worker's engine cache.  Returns one
+    :class:`~repro.watermarking.ownership.ClaimEvidence` per claim, in claim
+    order, for the executor to merge in chunk order.
+    """
+    with _stage_span("dispute.parse", lines=len(lines)):
+        table = ColumnarTable.from_csv_chunk(plan.schema, header, lines)
+    binned = BinnedTable(table=table, **plan.metadata)
+    return tuple(
+        plan.registry.collect_claim_evidence(
+            binned,
+            claim,
+            watermarker=_worker_watermarker(spec),
+            encryptor=FieldEncryptor(claim.encryption_key),
+        )
+        for claim, spec in zip(plan.claims, plan.specs)
+    )
 
 
 def _bounded_ordered(
@@ -387,11 +437,12 @@ class ShardRunner:
 
     name: str = "?"
 
-    #: Whether :meth:`protect_csv` can run here.  False only for the remote
-    #: fleet; the service falls back to a local runner for protect when its
-    #: *default* runner is a detect fleet, and refuses when one is requested
-    #: explicitly.
-    supports_protect: bool = True
+    #: Whether chunks run on this host.  Only local runners carry keyed work
+    #: — protect's pass 2 (raw identifiers) and dispute (decryption keys).
+    #: False only for the remote fleet; the service falls back to a local
+    #: runner when its *default* runner is a detect fleet, and refuses a
+    #: protect when one is requested explicitly.
+    is_local: bool = True
 
     # ------------------------------------------------------------- primitives
     def _pool(self, max_workers: int) -> Executor:
@@ -455,9 +506,7 @@ class ShardRunner:
                     return
                 if on_rows is not None:
                     on_rows(len(chunk))
-                with _stage_span("detect.frame", rows=len(chunk)):
-                    binned = BinnedTable(table=chunk, **metadata)
-                yield binned
+                yield BinnedTable(table=chunk, **metadata)
 
         yield from self.collect_tables(watermarker, views(), mark_length, max_workers=max_workers)
 
@@ -472,24 +521,64 @@ class ShardRunner:
         """One :class:`ProtectedChunk` per raw chunk of *path*, in chunk order.
 
         Pass 2 of a streamed protect on this runner's pool: the caller's
-        thread only splits lines (:func:`~repro.service.streaming.iter_raw_chunks`)
-        and splices results; workers parse, rewrite, embed and serialise.  One
-        implementation serves both pools — :func:`protect_raw_chunk` takes only
-        the picklable plan, so thread workers run it in-process while process
-        workers receive it pickled; either way at most ``max_workers + 1``
-        chunks are in flight and results come back in submission order.
+        thread only splits lines and splices results; workers parse, rewrite,
+        embed and serialise (:func:`protect_raw_chunk`).
+        """
+        return self._map_raw_chunks(
+            functools.partial(protect_raw_chunk, plan),
+            path,
+            chunk_size=chunk_size,
+            max_workers=max_workers,
+        )
+
+    def dispute_csv(
+        self,
+        plan: DisputePlan,
+        path: str,
+        *,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        max_workers: int,
+    ) -> Iterator[tuple[ClaimEvidence, ...]]:
+        """Every claim's evidence per raw chunk of *path*, in chunk order.
+
+        Workers parse, decrypt and collect votes (:func:`dispute_raw_chunk`);
+        the caller merges the evidence and finalises once per claim.
+        """
+        return self._map_raw_chunks(
+            functools.partial(dispute_raw_chunk, plan),
+            path,
+            chunk_size=chunk_size,
+            max_workers=max_workers,
+        )
+
+    def _map_raw_chunks(
+        self,
+        task: Callable[[str, list[str]], object],
+        path: str,
+        *,
+        chunk_size: int,
+        max_workers: int,
+    ) -> Iterator[object]:
+        """``task(header, lines)`` per raw chunk of *path* on this runner's pool.
+
+        The caller's thread only splits lines
+        (:func:`~repro.service.streaming.iter_raw_chunks`); *task* must be
+        picklable, so thread workers run it in-process while process workers
+        receive it pickled.  At most ``max_workers + 1`` chunks are in flight
+        and results come back in submission order; spans a foreign-process
+        worker recorded are ingested into the caller's tracer.
         """
         context = _trace_capture()
         tracer = _current_tracer()
         with self._pool(max_workers) as pool:
-            for chunk in _bounded_ordered(
-                lambda chunk: pool.submit(_protect_chunk_task, context, plan, chunk[0], chunk[1]),
+            for result, spans in _bounded_ordered(
+                lambda chunk: pool.submit(_traced_task, context, task, *chunk),
                 iter_raw_chunks(path, chunk_size),
                 max_workers,
             ):
-                if chunk.spans and tracer is not None:
-                    tracer.ingest(chunk.spans)
-                yield chunk
+                if spans and tracer is not None:
+                    tracer.ingest(spans)
+                yield result
 
 
 class ThreadRunner(ShardRunner):
@@ -539,30 +628,15 @@ class ProcessRunner(ShardRunner):
         max_workers: int,
         on_rows: Callable[[int], None] | None = None,
     ) -> Iterator[DetectionVotes]:
-        spec = WatermarkerSpec.of(watermarker)
-        context = _trace_capture()
-        tracer = _current_tracer()
-        with self._pool(max_workers) as pool:
-            results = _bounded_ordered(
-                lambda chunk: pool.submit(
-                    _collect_chunk_task,
-                    context,
-                    spec,
-                    schema,
-                    metadata,
-                    chunk[0],
-                    chunk[1],
-                    mark_length,
-                ),
-                iter_raw_chunks(path, chunk_size),
-                max_workers,
-            )
-            for rows, votes, spans in results:
-                if spans and tracer is not None:
-                    tracer.ingest(spans)
-                if on_rows is not None:
-                    on_rows(rows)
-                yield votes
+        task = functools.partial(
+            collect_raw_chunk, WatermarkerSpec.of(watermarker), schema, metadata, mark_length=mark_length
+        )
+        for rows, votes in self._map_raw_chunks(
+            task, path, chunk_size=chunk_size, max_workers=max_workers
+        ):
+            if on_rows is not None:
+                on_rows(rows)
+            yield votes
 
 
 class FleetError(RuntimeError):
@@ -783,7 +857,7 @@ class RemoteRunner(ShardRunner):
         for response in self._post_stream(payloads(), max_workers):
             yield votes_from_json(response["votes"])
 
-    supports_protect = False
+    is_local = False
 
     def protect_csv(
         self,
@@ -801,6 +875,17 @@ class RemoteRunner(ShardRunner):
         are deliberately vault-blind.  Use ``--runner thread|process``.
         """
         raise ValueError(PROTECT_UNSUPPORTED_ERROR)
+
+    def dispute_csv(
+        self,
+        plan: DisputePlan,
+        path: str,
+        *,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        max_workers: int,
+    ) -> Iterator[tuple[ClaimEvidence, ...]]:
+        """Refused: a dispute decrypts, and decryption keys never reach the fleet."""
+        raise ValueError(DISPUTE_UNSUPPORTED_ERROR)
 
     # -------------------------------------------------------------- plumbing
     def _post_stream(

@@ -28,33 +28,62 @@ into court.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.binning.binner import BinnedTable
 from repro.crypto.cipher import FieldEncryptor
-from repro.watermarking.hierarchical import HierarchicalWatermarker
+from repro.telemetry.trace import span as _stage_span
+from repro.watermarking.hierarchical import DetectionVotes, HierarchicalWatermarker
 from repro.watermarking.keys import WatermarkKey
 from repro.watermarking.mark import Mark
 
-__all__ = ["OwnershipClaim", "DisputeVerdict", "identifier_statistic", "OwnershipRegistry"]
+__all__ = [
+    "OwnershipClaim",
+    "ClaimEvidence",
+    "DisputeVerdict",
+    "identifier_total",
+    "statistic_from_total",
+    "identifier_statistic",
+    "claim_watermarker",
+    "OwnershipRegistry",
+]
 
 
-def identifier_statistic(clear_identifiers: Sequence[object]) -> float:
-    """The statistic ``v``: the mean of the clear-text identifiers as numbers.
+def identifier_total(clear_identifiers: Iterable[object]) -> tuple[int, int]:
+    """The mergeable half of ``v``: exact ``(sum, count)`` of the numeric identifiers.
 
-    Identifiers that are not purely numeric strings contribute nothing; if no
-    identifier is numeric the statistic is undefined and a ``ValueError`` is
-    raised — which is exactly what happens when a false claimant "decrypts"
-    the column with the wrong key and obtains garbage.
+    Identifiers that are not purely numeric strings contribute nothing.  The
+    sum is an exact ``int``, so partial totals over row chunks add up to the
+    whole table's total in any order.
     """
-    values: list[float] = []
+    total = 0
+    count = 0
     for identifier in clear_identifiers:
-        text = str(identifier)
+        text = identifier if isinstance(identifier, str) else str(identifier)
         if text.isdigit():
-            values.append(float(int(text)))
-    if not values:
+            total += int(text)
+            count += 1
+    return total, count
+
+
+def statistic_from_total(total: int, count: int) -> float:
+    """``v`` from an :func:`identifier_total`: the mean, rounded once to a float.
+
+    While every partial sum stays below 2**53 this equals the float mean
+    accumulated value by value, bit for bit; beyond that it is the exactly
+    rounded mean, which float accumulation is not.  With no numeric
+    identifier the statistic is undefined and a ``ValueError`` is raised —
+    which is exactly what happens when a false claimant "decrypts" the column
+    with the wrong key and obtains garbage.
+    """
+    if count == 0:
         raise ValueError("no numeric identifiers: cannot compute the ownership statistic")
-    return sum(values) / len(values)
+    return total / count
+
+
+def identifier_statistic(clear_identifiers: Iterable[object]) -> float:
+    """The statistic ``v``: the mean of the clear-text identifiers as numbers."""
+    return statistic_from_total(*identifier_total(clear_identifiers))
 
 
 @dataclass(frozen=True)
@@ -69,6 +98,37 @@ class OwnershipClaim:
     copies: int = 4
     columns: tuple[str, ...] | None = None
     code: str | None = None
+
+
+def claim_watermarker(claim: OwnershipClaim) -> HierarchicalWatermarker:
+    """The detector a claim is judged by: the claimant's key, copies, columns and code."""
+    return HierarchicalWatermarker(
+        claim.watermark_key, columns=claim.columns, copies=claim.copies, code=claim.code
+    )
+
+
+@dataclass
+class ClaimEvidence:
+    """Partial assessment of one claim over some rows of the disputed table.
+
+    The mergeable half of :meth:`OwnershipRegistry.assess_claim`, the way
+    :class:`~repro.watermarking.hierarchical.DetectionVotes` is for detection:
+    evidence collected per row chunk and merged in chunk order finalises to
+    the assessment of the whole table, field for field.
+    """
+
+    votes: DetectionVotes
+    identifier_total: int = 0
+    identifier_count: int = 0
+    decryption_failed: bool = False
+
+    def merge(self, other: "ClaimEvidence") -> "ClaimEvidence":
+        """Fold *other* (later rows) into this evidence, in place; returns self."""
+        self.votes.merge(other.votes)
+        self.identifier_total += other.identifier_total
+        self.identifier_count += other.identifier_count
+        self.decryption_failed = self.decryption_failed or other.decryption_failed
+        return self
 
 
 @dataclass(frozen=True)
@@ -159,34 +219,68 @@ class OwnershipRegistry:
         return Mark.from_statistic(statistic, self._mark_length, precision=self._precision)
 
     # ---------------------------------------------------------------- disputes
-    def assess_claim(self, disputed: BinnedTable, claim: OwnershipClaim) -> ClaimAssessment:
-        """Evaluate one claim against the disputed table."""
-        encryptor = FieldEncryptor(claim.encryption_key)
-        ident_columns = disputed.identifying_columns
-        clear: list[str] = []
-        decryption_ok = True
-        for row in disputed.table:
-            for column in ident_columns:
-                try:
-                    clear.append(encryptor.decrypt(str(row[column])))
-                except (ValueError, UnicodeDecodeError):
-                    decryption_ok = False
+    def empty_evidence(self, claim: OwnershipClaim) -> ClaimEvidence:
+        """The evidence of zero rows (a header-only disputed table)."""
+        return ClaimEvidence(votes=DetectionVotes(wmd_length=self._mark_length * claim.copies))
+
+    def collect_claim_evidence(
+        self,
+        disputed: BinnedTable,
+        claim: OwnershipClaim,
+        *,
+        watermarker: HierarchicalWatermarker | None = None,
+        encryptor: FieldEncryptor | None = None,
+    ) -> ClaimEvidence:
+        """Decrypt *disputed*'s identifying columns under the claim's key and collect its votes.
+
+        Decryption runs column-wide (:meth:`FieldEncryptor.decrypt_many`) and
+        stops at the first token that does not decrypt: one failure already
+        decides ``decryption_ok``.  *watermarker*/*encryptor* let callers
+        reuse engines built for this claim across chunks.
+        """
+        encryptor = encryptor if encryptor is not None else FieldEncryptor(claim.encryption_key)
+        watermarker = watermarker if watermarker is not None else claim_watermarker(claim)
+        table = disputed.table
+        total = count = 0
+        failed = False
+        with _stage_span("dispute.decrypt", rows=len(table)):
+            try:
+                for column in disputed.identifying_columns:
+                    column_total, column_count = identifier_total(
+                        encryptor.decrypt_many(map(str, table.column_values(column)))
+                    )
+                    total += column_total
+                    count += column_count
+            except (ValueError, UnicodeDecodeError):
+                # Covers undecryptable tokens and digit strings int() refuses.
+                failed = True
+        with _stage_span("dispute.collect", rows=len(table)):
+            votes = watermarker.collect_votes(disputed, self._mark_length)
+        return ClaimEvidence(
+            votes=votes, identifier_total=total, identifier_count=count, decryption_failed=failed
+        )
+
+    def finalize_claim(
+        self,
+        evidence: ClaimEvidence,
+        claim: OwnershipClaim,
+        *,
+        watermarker: HierarchicalWatermarker | None = None,
+    ) -> ClaimAssessment:
+        """Judge one claim from its (merged) evidence: steps 2 and 3 of Section 5.4."""
+        decryption_ok = not evidence.decryption_failed
         recomputed: float | None = None
         statistic_ok = False
         if decryption_ok:
             try:
-                recomputed = identifier_statistic(clear)
+                recomputed = statistic_from_total(evidence.identifier_total, evidence.identifier_count)
                 statistic_ok = abs(recomputed - claim.registered_statistic) < self._tau
             except ValueError:
                 decryption_ok = False
 
-        expected = Mark.from_statistic(
-            claim.registered_statistic, self._mark_length, precision=self._precision
-        )
-        watermarker = HierarchicalWatermarker(
-            claim.watermark_key, columns=claim.columns, copies=claim.copies, code=claim.code
-        )
-        detected = watermarker.detect(disputed, self._mark_length)
+        expected = self.mark_for_statistic(claim.registered_statistic)
+        watermarker = watermarker if watermarker is not None else claim_watermarker(claim)
+        detected = watermarker.finalize_votes(evidence.votes, self._mark_length)
         bit_errors = detected.mark.hamming_distance(expected)
         mark_matches = bit_errors <= self._max_bit_errors and claim.mark.bits == expected.bits
 
@@ -198,6 +292,12 @@ class OwnershipRegistry:
             recomputed_statistic=recomputed,
             mark_bit_errors=bit_errors,
         )
+
+    def assess_claim(self, disputed: BinnedTable, claim: OwnershipClaim) -> ClaimAssessment:
+        """Evaluate one claim against the disputed table."""
+        watermarker = claim_watermarker(claim)
+        evidence = self.collect_claim_evidence(disputed, claim, watermarker=watermarker)
+        return self.finalize_claim(evidence, claim, watermarker=watermarker)
 
     def resolve_dispute(self, disputed: BinnedTable, claims: Sequence[OwnershipClaim]) -> DisputeVerdict:
         """Assess every claim and return the verdict."""

@@ -558,6 +558,53 @@ class TestEncryptManyEquivalence:
         tokens = encryptor.encrypt_many(values)
         assert [encryptor.decrypt(token) for token in tokens] == values
 
+    def test_decrypt_many_equals_scalar(self):
+        encryptor = FieldEncryptor("columnar-cipher-key")
+        values = ["alpha", "1234567890", "alpha", "", "a-much-longer-identifier-" * 4, "é✓"]
+        tokens = encryptor.encrypt_many(values)
+        assert encryptor.decrypt_many(tokens) == [encryptor.decrypt(t) for t in tokens] == values
+        assert encryptor.decrypt_many([]) == []
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "",  # empty
+            "abc",  # not a multiple of 16
+            "zz" * 8,  # not hexadecimal
+            "-" + "0" * 14 + "1",  # parses, but as a negative block
+        ],
+    )
+    def test_decrypt_many_rejects_like_scalar(self, bad):
+        encryptor = FieldEncryptor("columnar-cipher-key")
+        good = encryptor.encrypt("123456789")
+        with pytest.raises(ValueError) as scalar:
+            [encryptor.decrypt(t) for t in (good, bad)]
+        with pytest.raises(ValueError) as batched:
+            encryptor.decrypt_many([good, bad])
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_decrypt_many_wrong_key_fails_like_scalar(self):
+        tokens = FieldEncryptor("columnar-cipher-key").encrypt_many(
+            [str(100_000_000 + i) for i in range(200)]
+        )
+        wrong = FieldEncryptor("some-other-key")
+        scalar: list[object] = []
+        for token in tokens:
+            try:
+                scalar.append(wrong.decrypt(token))
+            except UnicodeDecodeError as error:
+                scalar.append(type(error))
+        # Token by token the batched path fails (or not) exactly as the scalar
+        # one, and a failure surfaces as the same UnicodeDecodeError.
+        assert UnicodeDecodeError in scalar
+        for token, expected in zip(tokens, scalar):
+            if expected is UnicodeDecodeError:
+                with pytest.raises(UnicodeDecodeError):
+                    wrong.decrypt_many([token])
+            else:
+                assert wrong.decrypt_many([token]) == [expected]
+
     def test_rewrite_table_row_vs_columnar(self, binned_small, medium_table):
         binned = binned_small.binned
         encryptor = FieldEncryptor(ENCRYPTION_KEY)

@@ -25,10 +25,18 @@ from repro.telemetry.trace import TRACE_HEADER, Tracer, activate
 DETECT_STAGES = {
     "service.detect",
     "detect.parse",
-    "detect.frame",
     "detect.collect",
     "detect.merge",
     "detect.finalize",
+}
+
+#: Stage spans one traced dispute must cover.
+DISPUTE_STAGES = {
+    "service.dispute",
+    "dispute.parse",
+    "dispute.decrypt",
+    "dispute.collect",
+    "dispute.finalize",
 }
 
 PROTECT_STAGES = {
@@ -124,6 +132,25 @@ class TestOutputsUnchangedByTracing:
         assert traced.mark_loss == 0.0
         names = {span.name for span in tracer.spans}
         assert DETECT_STAGES <= names
+
+    @pytest.mark.parametrize("runner", ["thread", "process"])
+    def test_dispute_verdict_identical(self, env, runner):
+        def service():
+            return ProtectionService(
+                KeyVault(env["vault"]), chunk_size=1_000, runner=runner, audit=False
+            )
+
+        plain = service().dispute("owner", env["protected"], dataset_id="data")
+        tracer = Tracer()
+        with activate(tracer):
+            traced = service().dispute("owner", env["protected"], dataset_id="data")
+        assert traced == plain
+        assert traced.winner == "owner"
+        names = {span.name for span in tracer.spans}
+        assert DISPUTE_STAGES <= names
+        # One parse per chunk, one finalize per dispute.
+        assert sum(span.name == "dispute.parse" for span in tracer.spans) == 4
+        assert sum(span.name == "dispute.finalize" for span in tracer.spans) == 1
 
     def test_process_runner_spans_come_from_foreign_pids(self, env):
         """Pool workers are real processes; their spans carry their own origin."""

@@ -1,6 +1,10 @@
 """Tests for the rightful-ownership protocol (Section 5.4)."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.watermarking.mark import Mark
 from repro.watermarking.keys import WatermarkKey
@@ -9,7 +13,18 @@ from repro.watermarking.ownership import (
     OwnershipClaim,
     OwnershipRegistry,
     identifier_statistic,
+    identifier_total,
 )
+
+#: Identifier cells as a suspect column holds them: digit strings (leading
+#: zeros included) mixed with text the statistic must skip.
+NOISE = st.sampled_from(["", "x", "12a", " 7", "-3", "1.5"])
+
+
+def _float_mean(clear) -> float:
+    """The statistic as the seed accumulated it: float by float, in order."""
+    values = [float(int(text)) for text in clear if text.isdigit()]
+    return sum(values) / len(values)
 
 
 class TestIdentifierStatistic:
@@ -22,6 +37,39 @@ class TestIdentifierStatistic:
     def test_all_garbage_raises(self):
         with pytest.raises(ValueError):
             identifier_statistic(["x", "y", ""])
+
+
+class TestExactStatistic:
+    """``v`` is an exact int total over a count, divided once."""
+
+    @given(
+        st.lists(
+            st.one_of(st.integers(0, 10**12).map(str), st.integers(0, 999).map("{:09d}".format), NOISE),
+            min_size=1,
+            max_size=200,
+        ).filter(lambda cells: any(cell.isdigit() for cell in cells))
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_float_mean_below_2_53(self, cells):
+        # Every running sum stays below 2**53 (200 values of at most 1e12),
+        # where float accumulation is exact: the registered statistic — and
+        # with it the mark F(v) and every protect output — is unchanged.
+        assert identifier_statistic(cells) == _float_mean(cells)
+        registry = OwnershipRegistry()
+        assert registry.derive_mark(cells)[1] == registry.mark_for_statistic(_float_mean(cells))
+
+    @given(st.lists(st.integers(2**53, 10**30), min_size=1, max_size=60), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_exact_mean_rounded_once_above_2_53(self, values, data):
+        cells = [str(value) for value in values]
+        total, count = identifier_total(cells)
+        assert (total, count) == (sum(values), len(values))
+        assert identifier_statistic(cells) == float(Fraction(sum(values), len(values)))
+        # Partial totals merge in any order: the chunking of a streamed
+        # dispute cannot move the statistic.
+        cut = data.draw(st.integers(0, len(cells)))
+        head, tail = identifier_total(cells[:cut]), identifier_total(cells[cut:])
+        assert (head[0] + tail[0], head[1] + tail[1]) == (total, count)
 
 
 class TestRegistryConfiguration:
