@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -29,9 +28,6 @@ __all__ = ["FeistelCipher", "FieldEncryptor"]
 _BLOCK_BITS = 64
 _HALF_BITS = _BLOCK_BITS // 2
 _HALF_MASK = (1 << _HALF_BITS) - 1
-#: Big-endian 32-bit codec of a Feistel half (struct beats int.to_bytes /
-#: int.from_bytes on the batched hot loop, and reads the digest prefix in place).
-_HALF = struct.Struct(">I")
 
 
 class FeistelCipher:
@@ -214,8 +210,6 @@ class FieldEncryptor:
         iv = self._iv
         encoding = self._codec.encoding
         block_limit = 1 << _BLOCK_BITS
-        pack_half = _HALF.pack
-        unpack_half = _HALF.unpack_from
         memo: dict[str, str] = {}
         clear: list[str] = []
         append = clear.append
@@ -237,10 +231,10 @@ class FieldEncryptor:
                     right = block & _HALF_MASK
                     for inner_copy, outer_copy in rounds:
                         digest = inner_copy()
-                        digest.update(pack_half(left))
+                        digest.update(left.to_bytes(4, "big"))
                         outer = outer_copy()
                         outer.update(digest.digest())
-                        left, right = right ^ unpack_half(outer.digest())[0], left
+                        left, right = right ^ int.from_bytes(outer.digest()[:4], "big"), left
                     plain += (((left << _HALF_BITS) | right) ^ previous).to_bytes(8, "big")
                     previous = block
                 length = int.from_bytes(plain[:2], "big")

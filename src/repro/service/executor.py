@@ -54,7 +54,7 @@ from repro.binning.binner import BinnedTable
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.service.runners import (
-    PROTECT_UNSUPPORTED_ERROR,
+    LOCAL_ONLY_ERROR,
     DisputePlan,
     ProtectPlan,
     ShardRunner,
@@ -253,7 +253,7 @@ class ShardExecutor:
         output file is created, so a refusal leaves nothing behind.
         """
         if not self._runner.is_local:
-            raise ValueError(PROTECT_UNSUPPORTED_ERROR)
+            raise ValueError(LOCAL_ONLY_ERROR)
         rows = 0
         tuples_selected = 0
         cells_changed = 0

@@ -115,8 +115,7 @@ __all__ = [
     "RemoteRunner",
     "FleetError",
     "RUNNER_NAMES",
-    "PROTECT_UNSUPPORTED_ERROR",
-    "DISPUTE_UNSUPPORTED_ERROR",
+    "LOCAL_ONLY_ERROR",
     "collect_raw_chunk",
     "protect_raw_chunk",
     "dispute_raw_chunk",
@@ -124,19 +123,14 @@ __all__ = [
     "resolve_runner",
 ]
 
-#: Raised (as a :class:`ValueError`) wherever a protect is asked to run on a
-#: runner that cannot carry it — shared so the executor can refuse *before*
-#: creating the output file and the runner can refuse as a backstop.
-PROTECT_UNSUPPORTED_ERROR = (
-    "the remote runner is detect-only: protect ships rows, not votes "
-    "(use --runner thread or --runner process for parallel protect)"
-)
-
-#: The remote runner's refusal of a dispute (a backstop: the service runs
-#: disputes on a local runner whatever its default).
-DISPUTE_UNSUPPORTED_ERROR = (
-    "the remote runner is detect-only: a dispute decrypts identifiers, and "
-    "decryption keys never leave the vault's host"
+#: Raised (as a :class:`ValueError`) wherever keyed work — protect's pass 2 or
+#: a dispute — is asked to run on a runner that is not local.  Shared so the
+#: executor can refuse a protect *before* creating the output file and the
+#: runner's raw-chunk map refuses as a backstop.
+LOCAL_ONLY_ERROR = (
+    "the remote runner is detect-only: protect and dispute handle raw "
+    "identifiers and decryption keys, which never leave the vault's host "
+    "(use --runner thread or --runner process)"
 )
 
 _SENTINEL = object()
@@ -382,8 +376,7 @@ def dispute_raw_chunk(plan: DisputePlan, header: str, lines: list[str]) -> tuple
     """Pool task: parse one raw CSV chunk and collect every claim's evidence on it.
 
     The chunk parses columnar exactly like :func:`collect_raw_chunk`; per
-    claim, an encryptor is built once for the chunk and the detector comes
-    from the worker's engine cache.  Returns one
+    claim, the detector comes from the worker's engine cache.  Returns one
     :class:`~repro.watermarking.ownership.ClaimEvidence` per claim, in claim
     order, for the executor to merge in chunk order.
     """
@@ -391,12 +384,7 @@ def dispute_raw_chunk(plan: DisputePlan, header: str, lines: list[str]) -> tuple
         table = ColumnarTable.from_csv_chunk(plan.schema, header, lines)
     binned = BinnedTable(table=table, **plan.metadata)
     return tuple(
-        plan.registry.collect_claim_evidence(
-            binned,
-            claim,
-            watermarker=_worker_watermarker(spec),
-            encryptor=FieldEncryptor(claim.encryption_key),
-        )
+        plan.registry.collect_claim_evidence(binned, claim, watermarker=_worker_watermarker(spec))
         for claim, spec in zip(plan.claims, plan.specs)
     )
 
@@ -566,8 +554,11 @@ class ShardRunner:
         picklable, so thread workers run it in-process while process workers
         receive it pickled.  At most ``max_workers + 1`` chunks are in flight
         and results come back in submission order; spans a foreign-process
-        worker recorded are ingested into the caller's tracer.
+        worker recorded are ingested into the caller's tracer.  A runner that
+        is not local refuses: every raw-chunk task is keyed work.
         """
+        if not self.is_local:
+            raise ValueError(LOCAL_ONLY_ERROR)
         context = _trace_capture()
         tracer = _current_tracer()
         with self._pool(max_workers) as pool:
@@ -857,35 +848,11 @@ class RemoteRunner(ShardRunner):
         for response in self._post_stream(payloads(), max_workers):
             yield votes_from_json(response["votes"])
 
+    #: Detect-only.  Detection ships small :class:`DetectionVotes` back, but
+    #: protect's result *is* the rows and a dispute decrypts, so a fleet would
+    #: see raw identifiers or decryption keys that its deliberately
+    #: vault-blind workers must never hold (:data:`LOCAL_ONLY_ERROR`).
     is_local = False
-
-    def protect_csv(
-        self,
-        plan: ProtectPlan,
-        path: str,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-    ) -> Iterator[ProtectedChunk]:
-        """Refused: the remote runner is detect-only.
-
-        Detection ships small :class:`DetectionVotes` back; protect's result
-        *is* the rows, so a fleet would pay row shipping in both directions —
-        and, worse, expose raw (pre-encryption) identifiers to workers that
-        are deliberately vault-blind.  Use ``--runner thread|process``.
-        """
-        raise ValueError(PROTECT_UNSUPPORTED_ERROR)
-
-    def dispute_csv(
-        self,
-        plan: DisputePlan,
-        path: str,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-    ) -> Iterator[tuple[ClaimEvidence, ...]]:
-        """Refused: a dispute decrypts, and decryption keys never reach the fleet."""
-        raise ValueError(DISPUTE_UNSUPPORTED_ERROR)
 
     # -------------------------------------------------------------- plumbing
     def _post_stream(

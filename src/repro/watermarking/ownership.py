@@ -229,16 +229,15 @@ class OwnershipRegistry:
         claim: OwnershipClaim,
         *,
         watermarker: HierarchicalWatermarker | None = None,
-        encryptor: FieldEncryptor | None = None,
     ) -> ClaimEvidence:
         """Decrypt *disputed*'s identifying columns under the claim's key and collect its votes.
 
         Decryption runs column-wide (:meth:`FieldEncryptor.decrypt_many`) and
         stops at the first token that does not decrypt: one failure already
-        decides ``decryption_ok``.  *watermarker*/*encryptor* let callers
-        reuse engines built for this claim across chunks.
+        decides ``decryption_ok``.  *watermarker* lets callers reuse a
+        detector built for this claim across chunks.
         """
-        encryptor = encryptor if encryptor is not None else FieldEncryptor(claim.encryption_key)
+        encryptor = FieldEncryptor(claim.encryption_key)
         watermarker = watermarker if watermarker is not None else claim_watermarker(claim)
         table = disputed.table
         total = count = 0
@@ -260,13 +259,7 @@ class OwnershipRegistry:
             votes=votes, identifier_total=total, identifier_count=count, decryption_failed=failed
         )
 
-    def finalize_claim(
-        self,
-        evidence: ClaimEvidence,
-        claim: OwnershipClaim,
-        *,
-        watermarker: HierarchicalWatermarker | None = None,
-    ) -> ClaimAssessment:
+    def finalize_claim(self, evidence: ClaimEvidence, claim: OwnershipClaim) -> ClaimAssessment:
         """Judge one claim from its (merged) evidence: steps 2 and 3 of Section 5.4."""
         decryption_ok = not evidence.decryption_failed
         recomputed: float | None = None
@@ -279,8 +272,7 @@ class OwnershipRegistry:
                 decryption_ok = False
 
         expected = self.mark_for_statistic(claim.registered_statistic)
-        watermarker = watermarker if watermarker is not None else claim_watermarker(claim)
-        detected = watermarker.finalize_votes(evidence.votes, self._mark_length)
+        detected = claim_watermarker(claim).finalize_votes(evidence.votes, self._mark_length)
         bit_errors = detected.mark.hamming_distance(expected)
         mark_matches = bit_errors <= self._max_bit_errors and claim.mark.bits == expected.bits
 
@@ -295,9 +287,7 @@ class OwnershipRegistry:
 
     def assess_claim(self, disputed: BinnedTable, claim: OwnershipClaim) -> ClaimAssessment:
         """Evaluate one claim against the disputed table."""
-        watermarker = claim_watermarker(claim)
-        evidence = self.collect_claim_evidence(disputed, claim, watermarker=watermarker)
-        return self.finalize_claim(evidence, claim, watermarker=watermarker)
+        return self.finalize_claim(self.collect_claim_evidence(disputed, claim), claim)
 
     def resolve_dispute(self, disputed: BinnedTable, claims: Sequence[OwnershipClaim]) -> DisputeVerdict:
         """Assess every claim and return the verdict."""

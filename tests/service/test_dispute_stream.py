@@ -7,12 +7,13 @@ merges in chunk order and every claim is finalised once.  These tests hold it
 to the in-memory ``framework.resolve_dispute`` over the whole table — and
 that, in turn, to the seed's scalar per-cell assessment — on clean and
 attacked 20k-row suspects on every local runner (chunk sizes 1 and 7 on a
-500-row prefix), plus the adversarial edges: rival claims, a wrong key, a
+500-row prefix of each), plus the adversarial edges: rival claims, a wrong key, a
 header-only file, quoted newlines, and a coordinator whose default runner is
 a fleet.
 """
 
 import csv
+import os
 import socket
 
 import pytest
@@ -123,10 +124,11 @@ class Env:
             self._references[key] = self.framework.resolve_dispute(self.view(path), claims)
         return self._references[key]
 
-    def prefix(self, rows):
-        """The first *rows* records of the attacked suspect, as a CSV of its own."""
-        path = str(self.base / f"attacked-{rows}.csv")
-        with open(self.attacked, encoding="utf-8") as handle:
+    def prefix(self, source, rows):
+        """The first *rows* records of the suspect at *source*, as a CSV of its own."""
+        stem = os.path.splitext(os.path.basename(source))[0]
+        path = str(self.base / f"{stem}-{rows}.csv")
+        with open(source, encoding="utf-8") as handle:
             lines = handle.readlines()[: rows + 1]
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(lines)
@@ -166,14 +168,15 @@ class TestVerdictIdentity:
         assert streamed.assessments[0].recomputed_statistic is not None
         assert streamed.winner == "owner"
 
+    @pytest.mark.parametrize("which", ["clean", "attacked"])
     @pytest.mark.parametrize("runner", sorted(RUNNERS))
     @pytest.mark.parametrize("chunk_size", [1, 7])
-    def test_small_chunks(self, env, runner, chunk_size):
+    def test_small_chunks(self, env, which, runner, chunk_size):
         # Every chunk pays a task's fixed cost (and, on processes, one pickled
-        # plan), so tiny chunks run over a 500-row prefix of the attacked
-        # suspect: plenty of boundaries at a fraction of the time.
+        # plan), so tiny chunks run over a 500-row prefix of each suspect:
+        # plenty of boundaries at a fraction of the time.
         name, workers = RUNNERS[runner]
-        path = env.prefix(500)
+        path = env.prefix(_suspect(env, which), 500)
         streamed = env.service(name, workers, chunk_size).dispute("owner", path, dataset_id="d")
         assert streamed == env.reference(path)
 
@@ -281,7 +284,7 @@ class TestRemoteCoordinator:
 
     def test_remote_runner_refuses_a_dispute(self, env):
         with pytest.raises(ValueError, match="decryption keys"):
-            _NoPostRunner([_dead_url()]).dispute_csv(None, env.attacked, max_workers=1)
+            list(_NoPostRunner([_dead_url()]).dispute_csv(None, env.attacked, max_workers=1))
 
     def test_served_dispute_over_http(self, env):
         executor = ShardExecutor(2, runner=_NoPostRunner([_dead_url()]))
