@@ -1,13 +1,10 @@
-"""Registry backend benchmark: mutation throughput at fleet scale.
+"""Registry benchmark: mutation throughput at fleet scale.
 
-Seeds both registry backends with ``2 x REPRO_BENCH_SIZE`` tenants through
-the bulk ``import_state`` path (10 000 tenants at the CI perf-gate size of
-5 000), then times a batch of *real* ``register_tenant`` mutations on each.
-The file backend rewrites and fsyncs the whole ``vault.json`` document per
-mutation — O(tenants) per write — while SQLite's per-row inserts stay O(1),
-so the gap widens with registry size; the issue's acceptance bar is a >= 5x
-SQLite advantage at 10k+ tenants, asserted here whenever the seeded registry
-is that large (smaller runs just record the ratio in ``extra_info``).
+Seeds a vault with ``2 x REPRO_BENCH_SIZE`` tenants through the bulk
+``import_state`` path (10 000 tenants at the CI perf-gate size of 5 000),
+then times a batch of *real* ``register_tenant`` mutations: one
+``BEGIN IMMEDIATE`` insert each, fsynced at ``synchronous=FULL``, so the
+cost per write should not grow with the registry.
 
 Run standalone for a plain-text sweep over several registry sizes::
 
@@ -35,8 +32,6 @@ from repro.service import KeyVault
 TIMING_ROUNDS = 2
 MUTATIONS_PER_ROUND = 50
 SEED_MULTIPLIER = 2  # tenants = 2 x REPRO_BENCH_SIZE -> 10k at the gate size
-RATIO_FLOOR = 5.0
-RATIO_ASSERTED_FROM = 10_000  # tenants; below this the ratio is informational
 
 
 def _tenant_template(base: str) -> dict:
@@ -69,25 +64,17 @@ def _timed_batch(vault: KeyVault, counter, label: str) -> float:
 class RegistryEnv:
     base: str
     tenants: int
-    roots: dict  # backend name -> vault root
+    root: str
 
 
 def _build_env(base: str, tenants: int) -> RegistryEnv:
     template = _tenant_template(base)
-    state = _seed_state(template, tenants)
-    roots = {}
-    for backend in ("file", "sqlite"):
-        root = os.path.join(base, backend)
-        KeyVault.init(root, backend=backend).import_state(state)
-        roots[backend] = root
-    return RegistryEnv(base=base, tenants=tenants, roots=roots)
+    root = os.path.join(base, "vault")
+    KeyVault.init(root).import_state(_seed_state(template, tenants))
+    return RegistryEnv(base=base, tenants=tenants, root=root)
 
 
 # --------------------------------------------------------------------- pytest
-#: Best mutation-batch seconds per backend, shared with the ratio test below.
-_BEST: dict[str, float] = {}
-
-
 @pytest.fixture(scope="module")
 def registry_env(tmp_path_factory):
     from conftest import bench_table_size
@@ -96,63 +83,30 @@ def registry_env(tmp_path_factory):
     return _build_env(base, SEED_MULTIPLIER * bench_table_size())
 
 
-def _run_backend(benchmark, env: RegistryEnv, backend: str) -> None:
-    vault = KeyVault(env.roots[backend])
+def test_registry_mutations_sqlite(benchmark, registry_env):
+    vault = KeyVault(registry_env.root)
     counter = itertools.count()
     durations: list[float] = []
 
     def round_() -> None:
-        durations.append(_timed_batch(vault, counter, f"mut-{backend}"))
+        durations.append(_timed_batch(vault, counter, "mut"))
 
     benchmark.pedantic(round_, rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=0)
-    _BEST[backend] = best = min(durations)
-    benchmark.extra_info["tenants_seeded"] = env.tenants
-    benchmark.extra_info["mutations_per_round"] = MUTATIONS_PER_ROUND
-    benchmark.extra_info["mutations_per_second"] = round(MUTATIONS_PER_ROUND / best)
-
-
-def test_registry_mutations_file(benchmark, registry_env):
-    _run_backend(benchmark, registry_env, "file")
-
-
-def test_registry_mutations_sqlite(benchmark, registry_env):
-    _run_backend(benchmark, registry_env, "sqlite")
-
-
-def test_registry_sqlite_vs_file_ratio(benchmark, registry_env):
-    """The acceptance ratio, from the timings the two tests above captured."""
-    assert set(_BEST) == {"file", "sqlite"}, "backend benchmarks must run first"
-    ratio = _BEST["file"] / _BEST["sqlite"]
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1, warmup_rounds=0)
     benchmark.extra_info["tenants_seeded"] = registry_env.tenants
-    benchmark.extra_info["file_batch_seconds"] = round(_BEST["file"], 6)
-    benchmark.extra_info["sqlite_batch_seconds"] = round(_BEST["sqlite"], 6)
-    benchmark.extra_info["sqlite_speedup"] = round(ratio, 2)
-    if registry_env.tenants >= RATIO_ASSERTED_FROM:
-        assert ratio >= RATIO_FLOOR, (
-            f"sqlite should sustain >= {RATIO_FLOOR}x file-backend mutation "
-            f"throughput at {registry_env.tenants} tenants, got {ratio:.2f}x"
-        )
+    benchmark.extra_info["mutations_per_round"] = MUTATIONS_PER_ROUND
+    benchmark.extra_info["mutations_per_second"] = round(MUTATIONS_PER_ROUND / min(durations))
 
 
 # ----------------------------------------------------------------- standalone
 def _sweep(sizes: list[int]) -> None:
-    print(f"{'tenants':>9}  {'file ms':>9}  {'sqlite ms':>10}  {'speedup':>8}")
+    print(f"{'tenants':>9}  {'batch ms':>9}  {'per write ms':>12}")
     for size in sizes:
         with tempfile.TemporaryDirectory(prefix="bench-registry-") as base:
             env = _build_env(base, size)
-            best: dict[str, float] = {}
-            for backend in ("file", "sqlite"):
-                vault = KeyVault(env.roots[backend])
-                counter = itertools.count()
-                best[backend] = min(
-                    _timed_batch(vault, counter, f"mut-{backend}")
-                    for _ in range(TIMING_ROUNDS)
-                )
-            print(
-                f"{size:>9}  {best['file'] * 1e3:>9.1f}  {best['sqlite'] * 1e3:>10.1f}"
-                f"  {best['file'] / best['sqlite']:>7.1f}x"
-            )
+            vault = KeyVault(env.root)
+            counter = itertools.count()
+            best = min(_timed_batch(vault, counter, "mut") for _ in range(TIMING_ROUNDS))
+            print(f"{size:>9}  {best * 1e3:>9.1f}  {best * 1e3 / MUTATIONS_PER_ROUND:>12.2f}")
 
 
 if __name__ == "__main__":

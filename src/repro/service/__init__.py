@@ -8,12 +8,11 @@ protects many outsourced datasets and must later detect and litigate from a
 cold process:
 
 * :mod:`repro.service.vault` — durable per-tenant/per-dataset secrets,
-  registered statistics and marks over a pluggable backend;
+  registered statistics and marks;
 * :mod:`repro.service.store` — persistent ownership claims backing the
   dispute flow of Section 5.4;
-* :mod:`repro.service.backends` — the storage backends behind both facades:
-  atomic JSON documents (``file``, the zero-dep default) or a WAL-mode
-  SQLite ``registry.db`` with per-row mutations (``sqlite``);
+* :mod:`repro.service.backends` — the storage behind both facades: one
+  WAL-mode SQLite ``registry.db`` per vault, fsynced on every commit;
 * :mod:`repro.service.audit` — the append-only hash-chained audit log of
   register/protect/detect/dispute events (tamper-evident provenance);
 * :mod:`repro.service.streaming` — chunked CSV ingest/emit so million-row
@@ -31,20 +30,12 @@ cold process:
 * :mod:`repro.service.http` — the stdlib WSGI frontend (and client) exposing
   the facade over the network with bearer-token tenant auth;
 * :mod:`repro.service.reports` — the ``--json`` report shapes shared by the
-  CLI and the HTTP bodies;
-* :mod:`repro.service.locking` — advisory file locks arbitrating concurrent
-  vault/claim writers.
+  CLI and the HTTP bodies.
 """
 
 from repro.service.api import DetectOutcome, ProtectOutcome, ProtectionService, suspect_view
-from repro.service.audit import AuditChainError, FileAuditLog, SQLiteAuditLog
-from repro.service.backends import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    FileRegistryBackend,
-    SQLiteRegistryBackend,
-    VaultError,
-)
+from repro.service.audit import AuditChainError, SQLiteAuditLog
+from repro.service.backends import SQLiteRegistryBackend, VaultError
 from repro.service.executor import ShardExecutor, shard_spans
 from repro.service.runners import (
     FleetError,
@@ -59,11 +50,7 @@ from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, migrate_v
 
 __all__ = [
     "AuditChainError",
-    "FileAuditLog",
     "SQLiteAuditLog",
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
-    "FileRegistryBackend",
     "SQLiteRegistryBackend",
     "VaultError",
     "migrate_vault",

@@ -638,28 +638,24 @@ class ProtectionService:
     def status(self, tenant_id: str | None = None) -> dict:
         """JSON-able snapshot of the vault: tenants, datasets, claimants.
 
-        Picks up writes from other processes first (stat-gated reload), so a
-        long-running server reports datasets a CLI protect just registered.
+        Three live queries per tenant (its record, its dataset records, the
+        claimants of its datasets), so a long-running server reports datasets
+        a CLI protect just registered.
         """
-        self._vault.reload_if_changed()
         tenants = [tenant_id] if tenant_id is not None else self._vault.tenants()
-        out: dict = {
-            "vault": self._vault.root,
-            "backend": self._vault.backend,
-            "tenants": {},
-        }
+        out: dict = {"vault": self._vault.root, "tenants": {}}
         for tenant in tenants:
             record = self._vault.tenant(tenant)
+            claimants = self._claims.tenant_claimants(tenant)
             datasets = {}
-            for dataset in self._vault.datasets(tenant):
-                stored = self._vault.dataset(tenant, dataset)
+            for dataset, stored in self._vault.dataset_records(tenant).items():
                 datasets[dataset] = {
                     "rows": stored.rows,
                     "mark": stored.mark_bits,
                     "registered_statistic": stored.registered_statistic,
                     "cells_changed": stored.cells_changed,
                     "information_loss": stored.information_loss,
-                    "claimants": self._claims.claimants(dataset),
+                    "claimants": claimants.get(dataset, []),
                 }
             out["tenants"][tenant] = {
                 "eta": record.eta,

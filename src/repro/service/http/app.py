@@ -233,7 +233,7 @@ class ProtectionApp:
     """The WSGI callable wrapping one :class:`ProtectionService`.
 
     Thread-safe for threading WSGI servers: vault/claim writes are already
-    serialised by the advisory file locks, and the one in-process hazard —
+    serialised as registry transactions, and the one in-process hazard —
     two concurrent protects mutating a shared framework's registration state
     — is serialised by an app-level lock (protect is minutes-per-call at
     scale; the lock is not the bottleneck).

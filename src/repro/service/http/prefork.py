@@ -800,8 +800,8 @@ class PreForkServer:
     ``accept`` on the parent's listening socket.  Either way every worker is
     a full :class:`HTTPWorker` — keep-alive, bounded queue, rate limiting —
     over a fork-copy of the same WSGI app, whose vault state stays coherent
-    across processes through the advisory file locks and stat-gated reloads
-    the service already had.
+    across processes because every registry write is a SQLite transaction
+    and every read a live query (each process opens its own connection).
 
     Lifecycle: :meth:`serve_forever` installs a SIGTERM handler that drains —
     children stop accepting, finish in-flight requests and exit; the parent

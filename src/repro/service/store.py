@@ -9,28 +9,21 @@ call ``resolve_dispute`` with nothing but the store's location.
 
 Claims are keyed by dataset, so rival claims over the *same* disputed table
 (the paper's Attack 1/Attack 2 scenarios) naturally accumulate under one key
-and are assessed together.  Storage goes through the vault's pluggable
-backend (:mod:`repro.service.backends`): the ``file`` backend keeps the
-original atomic ``claims.json`` document, the ``sqlite`` backend keeps one
-row per (dataset, claimant) in ``registry.db``.  Either way mutations are
-serialised, so two concurrent protects (or a protect racing a rival
-registering a bogus claim over HTTP) never lose each other's entries — and
-claim *order* (arrival order, replaced claims moving to the end) is
-identical across backends because disputes see it.
+and are assessed together.  They live as one row per (dataset, claimant) in
+the vault's ``registry.db`` (:mod:`repro.service.backends`); each mutation is
+one transaction, so two concurrent protects (or a protect racing a rival
+registering a bogus claim over HTTP) never lose each other's entries, and
+claim *order* (arrival order, replaced claims moving to the end) is stable
+because disputes see it.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.service.backends import CLAIMS_FILENAME, FileRegistryBackend
 from repro.watermarking.keys import WatermarkKey
 from repro.watermarking.mark import Mark
 from repro.watermarking.ownership import OwnershipClaim
 
-__all__ = ["ClaimStore", "claim_to_json", "claim_from_json", "CLAIMS_FILENAME"]
-
-CLAIMS_VERSION = 1
+__all__ = ["ClaimStore", "claim_to_json", "claim_from_json"]
 
 
 def _key_to_json(value: bytes | str) -> dict:
@@ -85,74 +78,38 @@ def claim_from_json(payload: dict) -> OwnershipClaim:
 
 
 class ClaimStore:
-    """Backend-backed store of ownership claims, keyed by dataset.
+    """Registry-backed store of ownership claims, keyed by dataset.
 
     One claimant holds at most one claim per dataset: re-adding (a
     re-protect, or an attacker refreshing a bogus claim) replaces the
-    previous entry so disputes never double-count a claimant.
-
-    Constructed either from a ``claims.json`` *path* (standalone, always the
-    file format — the historic API) or from a vault's *backend* (via
-    :meth:`KeyVault.claim_store`), in which case claims share the vault's
-    storage and backend choice.
+    previous entry so disputes never double-count a claimant.  Obtain one
+    from :meth:`KeyVault.claim_store`; every read is a live query.
     """
 
-    def __init__(self, path: str | os.PathLike | None = None, *, backend=None) -> None:
-        if backend is None:
-            if path is None:
-                raise ValueError("ClaimStore needs a path or a backend")
-            path = os.fspath(path)
-            backend = FileRegistryBackend(os.path.dirname(path) or ".", claims_path=path)
+    def __init__(self, backend) -> None:
         self._backend = backend
-        # Load eagerly (file backend) so an unusable store fails at open, not
-        # first read; a missing file stays untouched — created lazily on the
-        # first mutation, because a store that only ever reads (detect,
-        # status, a vault on read-only media) must not write anything.
-        if os.path.exists(self._backend.claims_path):
-            self._backend.reload_claims()
-
-    @property
-    def path(self) -> str:
-        return self._backend.claims_path
 
     # --------------------------------------------------------------------- API
     def add_claim(self, dataset_id: str, claim: OwnershipClaim) -> None:
-        """Persist *claim* for *dataset_id* (replacing the claimant's previous one).
-
-        A serialised read-modify-write: concurrent writers see each other's
-        claims instead of overwriting the store wholesale.
-        """
+        """Persist *claim* for *dataset_id* (replacing the claimant's previous one)."""
         if not dataset_id:
             raise ValueError("dataset_id must be non-empty")
         self._backend.append_claim(dataset_id, claim.claimant, claim_to_json(claim))
 
     def claims(self, dataset_id: str) -> list[OwnershipClaim]:
-        """Every stored claim over *dataset_id*, re-hydrated.
-
-        Reads pick up writes from other processes first (gated on the
-        backend's change signal, so an unchanged store costs one ``stat`` /
-        one pragma): a dispute served by a long-running process must see the
-        claim a CLI protect just persisted.
-        """
-        self._backend.refresh_claims()
+        """Every stored claim over *dataset_id*, re-hydrated, in claim order."""
         return [claim_from_json(entry) for entry in self._backend.list_claims(dataset_id)]
 
     def claimants(self, dataset_id: str) -> list[str]:
-        self._backend.refresh_claims()
         return [entry["claimant"] for entry in self._backend.list_claims(dataset_id)]
 
+    def tenant_claimants(self, tenant_id: str) -> dict[str, list[str]]:
+        """Claimants per dataset of *tenant_id*, in claim order (one query)."""
+        return self._backend.tenant_claimants(tenant_id)
+
     def datasets(self) -> list[str]:
-        self._backend.refresh_claims()
         return self._backend.claim_datasets()
 
     def remove_claim(self, dataset_id: str, claimant: str) -> bool:
         """Drop *claimant*'s claim over *dataset_id*; return whether one existed."""
         return self._backend.remove_claim(dataset_id, claimant)
-
-    # ------------------------------------------------------------- persistence
-    def reload(self) -> None:
-        self._backend.reload_claims()
-
-    def reload_if_changed(self) -> bool:
-        """Refresh from the backend's change signal; report whether it moved."""
-        return self._backend.refresh_claims()

@@ -7,32 +7,23 @@ and, per protected dataset, the registered statistic ``v`` and the mark
 ``F(v)`` — persists under one vault directory, and nothing else is needed to
 rebuild a working :class:`~repro.framework.pipeline.ProtectionFramework`.
 
-Storage is pluggable (see :mod:`repro.service.backends`): the default
-``file`` backend keeps the original atomic ``vault.json`` document, the
-``sqlite`` backend keeps per-row state in a WAL-mode ``registry.db`` that
-stays fast at 10k+ tenants.  :class:`KeyVault` is a facade over either — the
-API, the error messages, and (crucially) every protect/detect/dispute result
-are identical across backends.
+Storage
+-------
 
-Durability contract
--------------------
+A vault is a directory holding ``registry.db`` (see
+:mod:`repro.service.backends`): one WAL-mode SQLite database at
+``synchronous=FULL``, so every acknowledged mutation is fsynced, and every
+mutation is one ``BEGIN IMMEDIATE`` transaction, so writers racing against
+one vault (two CLI invocations, or requests on different pre-fork workers)
+serialise instead of losing an update.  Reads are live: a long-running
+server sees tenants, datasets and tokens another process wrote on its next
+lookup.  The database is created with mode ``0600``; secrets are stored in
+the clear — wrapping them in a KMS/HSM is a deployment concern outside this
+reproduction's scope.
 
-File backend: every mutation rewrites the whole document through a temporary
-file followed by ``os.replace`` (atomic on POSIX and NT), then fsyncs.  A
-reader always sees either the previous or the new state, never a torn write.
-SQLite backend: every mutation is one WAL transaction under ``BEGIN
-IMMEDIATE``.  Both artifacts are created with mode ``0600``; secrets are
-stored in the clear — wrapping them in a KMS/HSM is a deployment concern
-outside this reproduction's scope.
-
-Concurrent writers *are* arbitrated on both backends (advisory
-:class:`~repro.service.locking.FileLock` read-modify-writes, respectively
-database write transactions), so two protects racing against one vault (two
-CLI invocations, or two HTTP requests on different worker threads or
-processes) serialise instead of losing the earlier update.  Lookup misses
-retry once after the backend's change signal reports fresh state
-(``refresh()``), which is how long-lived pre-fork workers see mutations made
-by other processes without a restart.
+Vaults written before SQLite became the only store (``vault.json``,
+``claims.json``, ``audit.log``) are refused with a pointer to
+:func:`migrate_vault` (``repro vault migrate``), the one-way import.
 
 Beyond the secrets, the vault also stores one **bearer-token digest** per
 tenant for the HTTP frontend: :meth:`KeyVault.issue_token` generates a token
@@ -46,19 +37,14 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
+import json
 import os
 import secrets as _secrets
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
-from repro.service.backends import (
-    VAULT_FILENAME,
-    VAULT_VERSION,
-    VaultError,
-    _atomic_write_json,  # noqa: F401  (re-exported; historic import site)
-    make_backend,
-    resolve_backend,
-)
+from repro.service.audit import AuditChainError, SQLiteAuditLog, verify_records
+from repro.service.backends import REGISTRY_FILENAME, SQLiteRegistryBackend, VaultError
 
 __all__ = [
     "TenantRecord",
@@ -150,56 +136,40 @@ def _tenant_from_json(payload: dict) -> TenantRecord:
 
 
 class KeyVault:
-    """The persistent key/claim material store, one backend per vault.
+    """The persistent key/claim material store: a directory holding ``registry.db``.
 
-    A vault is a *directory* (so sibling artifacts such as the claim store
-    and the audit chain live next to the key material) holding either
-    ``vault.json`` (``file`` backend, the default) or ``registry.db``
-    (``sqlite``).  Use :meth:`KeyVault.init` to create one and the
-    constructor to open an existing one; both accept ``backend=`` or a path
-    scheme (``sqlite:/srv/vault``), and opening auto-detects from what is on
-    disk.
+    A vault is a *directory* (so operators back up and point tools at one
+    location).  Use :meth:`KeyVault.init` to create one and the constructor
+    to open an existing one.
     """
 
-    def __init__(self, root: str | os.PathLike, *, backend: str | None = None) -> None:
-        if backend is not None and not isinstance(backend, str):
-            # An already-constructed backend object (init's hand-off).
-            self._backend = backend
-            self._root = backend.root
-        else:
-            name, bare = resolve_backend(root, backend)
-            self._root = bare
-            self._backend = make_backend(name, bare)
+    def __init__(self, root: str | os.PathLike) -> None:
+        self._root = os.fspath(root)
+        self._backend = SQLiteRegistryBackend(self._root)
         if not self._backend.exists:
+            _refuse_legacy(self._root)
             raise VaultError(
                 f"no vault at {self._root!r} "
-                f"(expected {self._backend.artifact}; run 'repro vault init' first)"
+                f"(expected {REGISTRY_FILENAME}; run 'repro vault init' first)"
             )
-        # Load eagerly so an unusable vault fails at open, not first lookup.
-        self._backend.reload()
+        # Connect eagerly so an unusable vault fails at open, not first lookup.
+        self._backend.connection()
 
     # ------------------------------------------------------------ construction
     @classmethod
-    def init(cls, root: str | os.PathLike, *, backend: str | None = None) -> "KeyVault":
-        """Create an empty vault at *root* (the directory is created too).
-
-        The backend of a fresh vault is the path scheme / ``backend=`` if
-        given, else ``$REPRO_VAULT_BACKEND``, else ``file``.
-        """
-        name, bare = resolve_backend(root, backend, for_init=True)
-        store = make_backend(name, bare)
-        store.create()
-        return cls(bare, backend=store)
+    def init(cls, root: str | os.PathLike) -> "KeyVault":
+        """Create an empty vault at *root* (the directory is created too)."""
+        root = os.fspath(root)
+        _refuse_legacy(root)
+        SQLiteRegistryBackend(root).create()
+        return cls(root)
 
     @classmethod
-    def open_or_init(cls, root: str | os.PathLike, *, backend: str | None = None) -> "KeyVault":
+    def open_or_init(cls, root: str | os.PathLike) -> "KeyVault":
         """Open *root*, initialising it first when empty (service convenience)."""
-        from repro.service.backends import detect_backend, split_backend_scheme
-
-        _, bare = split_backend_scheme(root)
-        if detect_backend(bare) is not None:
-            return cls(root, backend=backend)
-        return cls.init(root, backend=backend)
+        if os.path.exists(os.path.join(os.fspath(root), REGISTRY_FILENAME)):
+            return cls(root)
+        return cls.init(root)
 
     # -------------------------------------------------------------- properties
     @property
@@ -208,32 +178,18 @@ class KeyVault:
 
     @property
     def path(self) -> str:
-        """Path of the backing artifact (``vault.json`` or ``registry.db``)."""
+        """Path of the registry database (``registry.db``)."""
         return self._backend.path
 
-    @property
-    def backend(self) -> str:
-        """The storage backend name (``file`` or ``sqlite``)."""
-        return self._backend.name
-
-    @property
-    def registry(self):
-        """The underlying backend object (shared with sibling facades)."""
-        return self._backend
-
     def claim_store(self):
-        """A :class:`~repro.service.store.ClaimStore` over this vault's backend."""
+        """A :class:`~repro.service.store.ClaimStore` over this vault's registry."""
         from repro.service.store import ClaimStore
 
-        return ClaimStore(backend=self._backend)
+        return ClaimStore(self._backend)
 
-    def audit_log(self):
+    def audit_log(self) -> SQLiteAuditLog:
         """This vault's append-only hash-chained audit log."""
-        return self._backend.audit_log()
-
-    def change_signal(self) -> tuple:
-        """The backend-provided freshness signal (stat triple / data_version)."""
-        return self._backend.change_signal()
+        return SQLiteAuditLog(self._backend)
 
     # ----------------------------------------------------------------- tenants
     def register_tenant(
@@ -249,8 +205,8 @@ class KeyVault:
         Generated secrets come from :mod:`secrets` (CSPRNG).  Registration is
         write-once: the embedding parameters must never drift between protect
         and detect, so re-registering an existing tenant is an error (also
-        when a concurrent writer registered it first — the mutation is
-        serialised by the backend).
+        when a concurrent writer registered it first — the insert is one
+        transaction).
         """
         record = TenantRecord(
             tenant_id=tenant_id,
@@ -264,8 +220,6 @@ class KeyVault:
 
     def tenant(self, tenant_id: str) -> TenantRecord:
         payload = self._backend.get_tenant(tenant_id)
-        if payload is None and self._backend.refresh():
-            payload = self._backend.get_tenant(tenant_id)
         if payload is None:
             raise VaultError(f"unknown tenant {tenant_id!r} in vault {self._root!r}")
         return _tenant_from_json(payload)
@@ -297,22 +251,13 @@ class KeyVault:
 
         Constant-time digest comparison; ``False`` for unknown tenants and
         tenants that never had a token issued (never an exception — this is
-        the authentication hot path).  A miss retries once after the
-        backend's change signal, so tokens issued or rotated by *another
-        process* (``repro vault token`` against a vault a server is already
-        serving) take effect without a restart.
+        the authentication hot path).  The read is live, so a token issued
+        or rotated by another process takes effect on the next request.
         """
         if not token:
             return False
-        if self._token_matches(tenant_id, token):
-            return True
-        return self._backend.refresh() and self._token_matches(tenant_id, token)
-
-    def _token_matches(self, tenant_id: str, token: str) -> bool:
         stored = self._backend.get_token(tenant_id)
-        if not stored:
-            return False
-        return _hmac.compare_digest(stored, _token_digest(token))
+        return bool(stored) and _hmac.compare_digest(stored, _token_digest(token))
 
     def has_token(self, tenant_id: str) -> bool:
         """Whether a bearer token has ever been issued for *tenant_id*."""
@@ -320,46 +265,28 @@ class KeyVault:
 
     # ---------------------------------------------------------------- datasets
     def record_dataset(self, tenant_id: str, record: DatasetRecord) -> None:
-        """Register (or refresh, after a re-protect) a dataset's ownership record.
-
-        Serialised by the backend, so a concurrent protect of a *different*
-        dataset (or by a different tenant) is never overwritten by this save.
-        """
+        """Register (or refresh, after a re-protect) a dataset's ownership record."""
         if not self._backend.put_dataset(tenant_id, record.dataset_id, asdict(record)):
             raise VaultError(f"unknown tenant {tenant_id!r} in vault {self._root!r}")
 
     def dataset(self, tenant_id: str, dataset_id: str) -> DatasetRecord:
-        self.tenant(tenant_id)  # raises for unknown tenants
         payload = self._backend.get_dataset(tenant_id, dataset_id)
-        if payload is None and self._backend.refresh():
-            # A protect in another process (CLI against a vault a server is
-            # already serving) may have registered the dataset since we
-            # loaded; one gated re-read makes it visible without a restart.
-            payload = self._backend.get_dataset(tenant_id, dataset_id)
         if payload is None:
+            self.tenant(tenant_id)  # an unknown tenant is the more useful error
             raise VaultError(
                 f"tenant {tenant_id!r} has no dataset {dataset_id!r} in vault {self._root!r}"
             )
         return DatasetRecord(**payload)
 
     def datasets(self, tenant_id: str) -> list[str]:
-        self.tenant(tenant_id)
-        return self._backend.list_datasets(tenant_id)
+        return list(self.dataset_records(tenant_id))
 
-    # ------------------------------------------------------------- persistence
-    def reload(self) -> None:
-        """Re-read the backing store (another process may have written it)."""
-        self._backend.reload()
-
-    def reload_if_changed(self) -> bool:
-        """Refresh only when the backend's change signal moved.
-
-        File backend: one ``stat`` against the document's inode/size/mtime.
-        SQLite backend: one ``PRAGMA data_version`` (reads are live there, so
-        this only reports whether another connection committed).  Returns
-        whether anything changed.
-        """
-        return self._backend.refresh()
+    def dataset_records(self, tenant_id: str) -> dict[str, DatasetRecord]:
+        """Every dataset record of *tenant_id*, ordered by dataset id (one query)."""
+        payloads = self._backend.dataset_records(tenant_id)
+        if not payloads:
+            self.tenant(tenant_id)  # raises for unknown tenants
+        return {dataset_id: DatasetRecord(**payload) for dataset_id, payload in payloads.items()}
 
     # ----------------------------------------------------------- bulk (ops/CLI)
     def export_state(self) -> dict:
@@ -371,38 +298,91 @@ class KeyVault:
         self._backend.import_state(state)
 
 
-def migrate_vault(source: "KeyVault", destination: "KeyVault") -> dict:
-    """Copy *source*'s full registry and audit chain into *destination*.
+# ------------------------------------------------------------ legacy vaults
+#: The documents of a vault written before the registry moved to SQLite.
+LEGACY_VAULT_FILENAME = "vault.json"
+LEGACY_CLAIMS_FILENAME = "claims.json"
+LEGACY_AUDIT_FILENAME = "audit.log"
+LEGACY_VERSION = 1
 
-    The audit chain is copied record by record through the destination's
-    linkage check, so a tampered source chain aborts the migration at the
-    exact broken index instead of laundering the damage into a fresh store.
-    A final ``migrate`` event seals the copy.  Returns summary counts.
+
+def _refuse_legacy(root: str) -> None:
+    """Fail loudly on a legacy vault directory instead of treating it as empty."""
+    if os.path.exists(os.path.join(root, LEGACY_VAULT_FILENAME)):
+        raise VaultError(
+            f"{root!r} is a legacy vault ({LEGACY_VAULT_FILENAME}, no {REGISTRY_FILENAME}); "
+            f"import it with 'repro vault migrate {root} NEW' and use NEW from then on"
+        )
+
+
+def _read_legacy_document(path: str, key: str) -> dict:
+    """The *key* body of a version-checked legacy JSON document ({} when absent)."""
+    if not os.path.exists(path):
+        return {}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except ValueError as error:
+        raise VaultError(f"{path!r} is not a readable vault document: {error}") from error
+    version = document.get("version") if isinstance(document, dict) else None
+    if version != LEGACY_VERSION or not isinstance(document.get(key), dict):
+        raise VaultError(
+            f"unsupported {key} document version {version!r} in {path!r} "
+            f"(expected {LEGACY_VERSION} with a {key!r} object)"
+        )
+    return document[key]
+
+
+def _read_legacy_chain(path: str) -> list[dict]:
+    """The records of a legacy JSONL ``audit.log`` (malformed lines raise with their index)."""
+    if not os.path.exists(path):
+        return []
+    records = []
+    with open(path, "rb") as handle:
+        for index, raw in enumerate(handle):
+            try:
+                records.append(json.loads(raw.decode("utf-8")))
+            except (ValueError, UnicodeDecodeError) as error:
+                raise AuditChainError(index, f"malformed record: {error}") from error
+    return records
+
+
+def migrate_vault(source: str | os.PathLike, destination: str | os.PathLike) -> dict:
+    """Import the legacy vault at *source* into a new vault at *destination*.
+
+    Reads ``vault.json`` and ``claims.json`` (version-checked) and the
+    ``audit.log`` chain, and verifies the whole chain before anything is
+    written: a tampered chain refuses the migration at its exact broken
+    index and leaves no destination behind.  The registry is then imported
+    in one transaction, the chain replayed record by record through the
+    linkage-checked :meth:`SQLiteAuditLog.append_raw`, and a final
+    ``migrate`` record seals it.  Returns summary counts.
     """
-    state = source.export_state()
-    destination.import_state(state)
-    source_log = source.audit_log()
-    destination_log = destination.audit_log()
-    copied = 0
-    for record in source_log.entries():
-        destination_log.append_raw(dict(record))
-        copied += 1
-    destination_log.append(
+    source = os.fspath(source)
+    if not os.path.exists(os.path.join(source, LEGACY_VAULT_FILENAME)):
+        raise VaultError(f"no legacy vault at {source!r} (expected {LEGACY_VAULT_FILENAME})")
+    tenants = _read_legacy_document(os.path.join(source, LEGACY_VAULT_FILENAME), "tenants")
+    claims = _read_legacy_document(os.path.join(source, LEGACY_CLAIMS_FILENAME), "claims")
+    records = _read_legacy_chain(os.path.join(source, LEGACY_AUDIT_FILENAME))
+    verify_records(records)
+    vault = KeyVault.init(destination)
+    vault.import_state({"tenants": tenants, "claims": claims})
+    log = vault.audit_log()
+    for record in records:
+        log.append_raw(record)
+    log.append(
         "migrate",
         None,
         payload={
-            "source": source.root,
-            "from_backend": source.backend,
-            "to_backend": destination.backend,
-            "tenants": len(state.get("tenants", {})),
-            "copied_audit_records": copied,
+            "source": source,
+            "tenants": len(tenants),
+            "copied_audit_records": len(records),
         },
     )
     return {
-        "tenants": len(state.get("tenants", {})),
-        "claims": sum(len(entries) for entries in state.get("claims", {}).values()),
-        "audit_records": copied + 1,
-        "backend": destination.backend,
+        "tenants": len(tenants),
+        "claims": sum(len(entries) for entries in claims.values()),
+        "audit_records": len(records) + 1,
     }
 
 

@@ -360,34 +360,31 @@ class TestRemoteRunnerCLI:
                   "--runner", "remote"])
 
 
-class TestBackendAndAuditCLI:
-    """vault init --backend / vault migrate / audit verify round trips."""
+class TestVaultAndAuditCLI:
+    """vault init / status / audit verify round trips on the registry database."""
 
-    def test_init_sqlite_backend_and_status(self, tmp_path, capsys):
+    def test_init_and_status_carry_no_backend(self, tmp_path, capsys):
         import os
 
         vault = str(tmp_path / "vault")
-        assert main(["vault", "init", vault, "--backend", "sqlite", "--json", *COMMON]) == 0
+        assert main(["vault", "init", vault, "--json", *COMMON]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "sqlite"
+        assert "backend" not in payload
         assert os.path.exists(os.path.join(vault, "registry.db"))
         assert main(["vault", "status", vault, "--json"]) == 0
         status = json.loads(capsys.readouterr().out)
-        assert status["backend"] == "sqlite"
+        assert "backend" not in status and "owner" in status["tenants"]
+        assert main(["vault", "status", vault]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"vault {vault}"
 
-    def test_init_via_sqlite_path_scheme(self, tmp_path, capsys):
-        import os
+    def test_backend_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["vault", "init", str(tmp_path / "vault"), "--backend", "sqlite"])
 
-        vault = str(tmp_path / "vault")
-        assert main(["vault", "init", f"sqlite:{vault}", *COMMON]) == 0
-        capsys.readouterr()
-        assert os.path.exists(os.path.join(vault, "registry.db"))
-
-    @pytest.mark.parametrize("backend", ["file", "sqlite"])
-    def test_audit_verify_tracks_the_pipeline(self, raw_csv, tmp_path, capsys, backend):
+    def test_audit_verify_tracks_the_pipeline(self, raw_csv, tmp_path, capsys):
         vault = str(tmp_path / "vault")
         protected_csv = str(tmp_path / "protected.csv")
-        assert main(["vault", "init", vault, "--backend", backend, *COMMON]) == 0
+        assert main(["vault", "init", vault, *COMMON]) == 0
         assert main(["protect", raw_csv, protected_csv, "--vault", vault, "--dataset", "d"]) == 0
         assert main(["dispute", protected_csv, "--vault", vault, "--dataset", "d"]) == 0
         capsys.readouterr()
@@ -401,38 +398,16 @@ class TestBackendAndAuditCLI:
 
     def test_audit_verify_reports_broken_chain(self, tmp_path, capsys):
         import os
+        import sqlite3
 
         vault = str(tmp_path / "vault")
-        # Explicit file backend: this test edits the JSONL chain on disk.
-        assert main(["vault", "init", vault, "--backend", "file", *COMMON]) == 0
-        log_path = os.path.join(vault, "audit.log")
-        with open(log_path, encoding="utf-8") as handle:
-            content = handle.read()
-        with open(log_path, "w", encoding="utf-8") as handle:
-            handle.write(content.replace('"register"', '"detect"', 1))
+        assert main(["vault", "init", vault, *COMMON]) == 0
+        conn = sqlite3.connect(os.path.join(vault, "registry.db"))
+        with conn:
+            conn.execute("UPDATE audit SET event = 'detect' WHERE idx = 0")
+        conn.close()
         capsys.readouterr()
         assert main(["audit", "verify", "--vault", vault, "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is False
         assert payload["failed_index"] == 0
-
-    def test_vault_migrate_file_to_sqlite(self, raw_csv, tmp_path, capsys):
-        source = str(tmp_path / "src")
-        destination = str(tmp_path / "dst")
-        protected_csv = str(tmp_path / "protected.csv")
-        assert main(["vault", "init", source, "--backend", "file", *COMMON]) == 0
-        assert main(["protect", raw_csv, protected_csv, "--vault", source, "--dataset", "d"]) == 0
-        capsys.readouterr()
-        assert main(
-            ["vault", "migrate", source, destination, "--backend", "sqlite", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "sqlite"
-        assert payload["tenants"] == 1
-        # The migrated vault answers detect/dispute identically, cold.
-        assert main(
-            ["detect", protected_csv, "--vault", destination, "--dataset", "d", "--json"]
-        ) == 0
-        detect_payload = json.loads(capsys.readouterr().out)
-        assert detect_payload["ok"] is True and detect_payload["mark_loss"] == 0.0
-        assert main(["audit", "verify", "--vault", destination]) == 0

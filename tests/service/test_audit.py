@@ -1,14 +1,15 @@
 """Hash-chained audit log: linkage, service capture, and tamper evidence.
 
-Runs against whichever backend ``REPRO_VAULT_BACKEND`` selects (the CI
-backend matrix re-runs it under sqlite), plus backend-explicit corruption
-tests.  The acceptance bar from the issue is exercised literally: flipping
-a *single byte anywhere* in a file chain makes verification fail with the
-exact index of the damaged record, via both the library verifier and the
-standalone ``tools/check_audit.py``.
+The acceptance bar is exercised literally, once per verifier: flipping a
+*single byte anywhere* in an exported JSONL chain makes the standalone
+``tools/check_audit.py`` fail with the exact index of the damaged record,
+and flipping a single byte of any stored field of any ``audit`` row makes
+the library verifier (``repro audit verify``) fail with that row's index.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import sqlite3
 import subprocess
@@ -20,7 +21,6 @@ import pytest
 from repro.service.audit import (
     GENESIS_DIGEST,
     AuditChainError,
-    FileAuditLog,
     build_record,
     record_digest,
     verify_records,
@@ -40,9 +40,13 @@ def load_check_audit():
 check_audit = load_check_audit()
 
 
+def fresh_log(tmp_path):
+    return KeyVault.init(tmp_path / "v").audit_log()
+
+
 class TestRecordFormat:
     def test_genesis_linkage(self, tmp_path):
-        log = FileAuditLog(str(tmp_path / "audit.log"))
+        log = fresh_log(tmp_path)
         first = log.append("register", "acme")
         assert first["index"] == 0
         assert first["prev"] == GENESIS_DIGEST
@@ -66,20 +70,20 @@ class TestRecordFormat:
         assert excinfo.value.index == 0
 
     def test_append_resumes_after_reopen(self, tmp_path):
-        path = str(tmp_path / "audit.log")
-        FileAuditLog(path).append("register", "acme")
-        reopened = FileAuditLog(path)
+        fresh_log(tmp_path).append("register", "acme")
+        reopened = KeyVault(tmp_path / "v").audit_log()
         record = reopened.append("token", "acme")
         assert record["index"] == 1
         assert reopened.verify() == 2
 
-    def test_refuses_to_append_to_broken_chain(self, tmp_path):
-        path = tmp_path / "audit.log"
-        log = FileAuditLog(str(path))
+    def test_append_raw_refuses_a_record_that_does_not_link(self, tmp_path):
+        log = fresh_log(tmp_path)
         log.append("register", "acme")
-        path.write_text(path.read_text().replace('"acme"', '"evil"'), encoding="utf-8")
-        with pytest.raises(AuditChainError):
-            FileAuditLog(str(path)).append("token", "acme")
+        orphan = build_record(1, GENESIS_DIGEST, "token", "acme", None, {})
+        with pytest.raises(AuditChainError) as excinfo:
+            log.append_raw(orphan)
+        assert excinfo.value.index == 1
+        assert log.verify() == 1
 
 
 class TestServiceCapture:
@@ -135,79 +139,68 @@ class TestServiceCapture:
         assert vault.audit_log().verify() == 0
 
 
-def seeded_file_chain(tmp_path, records=6):
-    """A vault-shaped dir whose audit.log holds *records* chained entries."""
-    root = tmp_path / "chain"
-    root.mkdir()
-    log = FileAuditLog(str(root / "audit.log"))
-    for index in range(records):
-        log.append("register", f"tenant-{index}", payload={"step": index})
-    return root
-
-
-def seeded_sqlite_chain(tmp_path, records=6):
-    vault = KeyVault.init(tmp_path / "chain-sql", backend="sqlite")
+def seeded_chain(tmp_path, records=6):
+    """A vault whose audit table holds *records* chained entries."""
+    vault = KeyVault.init(tmp_path / "chain")
     log = vault.audit_log()
     for index in range(records):
         log.append("register", f"tenant-{index}", payload={"step": index})
     return Path(vault.root)
 
 
+def exported_chain(tmp_path, records=6):
+    """The seeded chain exported as canonical JSONL by tools/check_audit.py."""
+    exported = tmp_path / "chain.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert check_audit.main([str(seeded_chain(tmp_path, records)), "--export", str(exported)]) == 0
+    return exported
+
+
+def flip(value: str, offset: int) -> str:
+    """*value* with the character at *offset* changed by one bit."""
+    return value[:offset] + chr(ord(value[offset]) ^ 0x01) + value[offset + 1 :]
+
+
 class TestTamperEvidence:
-    def test_every_single_byte_flip_is_detected_with_exact_index(self, tmp_path):
-        """The issue's acceptance test: flip each byte of the chain in turn."""
-        root = seeded_file_chain(tmp_path, records=4)
-        path = root / "audit.log"
-        pristine = path.read_bytes()
-        # Line offsets tell us which record index a given byte belongs to.
-        boundaries = [i for i, b in enumerate(pristine) if b == 0x0A]
-
-        def record_of(offset):
-            return next(i for i, end in enumerate(boundaries) if offset <= end)
-
-        log = FileAuditLog(str(path))
-        assert log.verify() == 4
-        for offset in range(len(pristine)):
-            mutated = bytearray(pristine)
-            mutated[offset] ^= 0x01
-            path.write_bytes(bytes(mutated))
-            with pytest.raises(AuditChainError) as excinfo:
-                FileAuditLog(str(path)).verify()
-            # The reported index never points past the damaged record.
-            assert 0 <= excinfo.value.index <= record_of(offset)
-        path.write_bytes(pristine)
-        assert FileAuditLog(str(path)).verify() == 4
-
-    def test_truncated_partial_record_reports_tail_index(self, tmp_path):
-        root = seeded_file_chain(tmp_path, records=5)
-        path = root / "audit.log"
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) - 30])  # chop into the last record
-        with pytest.raises(AuditChainError) as excinfo:
-            FileAuditLog(str(path)).verify()
-        assert excinfo.value.index == 4
-
-    def test_deleting_a_middle_record_breaks_at_the_gap(self, tmp_path):
-        root = seeded_file_chain(tmp_path, records=5)
-        path = root / "audit.log"
-        lines = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(b"".join(lines[:2] + lines[3:]))
-        with pytest.raises(AuditChainError) as excinfo:
-            FileAuditLog(str(path)).verify()
-        assert excinfo.value.index == 2
-
-    def test_sqlite_row_edit_reports_exact_index(self, tmp_path):
-        root = seeded_sqlite_chain(tmp_path, records=6)
+    def test_every_single_byte_flip_of_a_row_reports_its_index(self, tmp_path):
+        """Each stored field of each audit row, one byte at a time."""
+        root = seeded_chain(tmp_path, records=4)
+        log = KeyVault(root).audit_log()
         conn = sqlite3.connect(root / "registry.db")
-        with conn:
-            conn.execute("UPDATE audit SET tenant = 'evil' WHERE idx = 3")
+        conn.execute("PRAGMA synchronous=OFF")  # tampering needs no durability
+        rows = conn.execute(
+            "SELECT idx, prev, event, tenant, dataset, payload, digest FROM audit ORDER BY idx"
+        ).fetchall()
+        columns = ("prev", "event", "tenant", "dataset", "payload", "digest")
+        checked = 0
+        for idx, *values in rows:
+            for column, value in zip(columns, values):
+                for offset in range(len(value) if value is not None else 1):
+                    tampered = "x" if value is None else flip(value, offset)
+                    with conn:
+                        conn.execute(f"UPDATE audit SET {column} = ? WHERE idx = ?", (tampered, idx))
+                    with pytest.raises(AuditChainError) as excinfo:
+                        log.verify()
+                    assert excinfo.value.index == idx, (column, offset)
+                    with conn:
+                        conn.execute(f"UPDATE audit SET {column} = ? WHERE idx = ?", (value, idx))
+                    checked += 1
+            for column, tampered in (("ts", "ts + 1e-6"), ("idx", "idx + 1000")):
+                with conn:
+                    conn.execute(f"UPDATE audit SET {column} = {tampered} WHERE idx = ?", (idx,))
+                with pytest.raises(AuditChainError) as excinfo:
+                    log.verify()
+                assert excinfo.value.index == idx, column
+                original = idx + 1000 if column == "idx" else idx
+                undo = "ts - 1e-6" if column == "ts" else "idx - 1000"
+                with conn:
+                    conn.execute(f"UPDATE audit SET {column} = {undo} WHERE idx = ?", (original,))
         conn.close()
-        with pytest.raises(AuditChainError) as excinfo:
-            KeyVault(root).audit_log().verify()
-        assert excinfo.value.index == 3
+        assert checked > 4 * 64
+        assert log.verify() == 4
 
     def test_sqlite_deleted_row_breaks_at_the_gap(self, tmp_path):
-        root = seeded_sqlite_chain(tmp_path, records=6)
+        root = seeded_chain(tmp_path, records=6)
         conn = sqlite3.connect(root / "registry.db")
         with conn:
             conn.execute("DELETE FROM audit WHERE idx = 2")
@@ -216,46 +209,55 @@ class TestTamperEvidence:
             KeyVault(root).audit_log().verify()
         assert excinfo.value.index == 2
 
+    def test_every_single_byte_flip_of_the_export_reports_its_index(self, tmp_path, capsys):
+        """The stdlib verifier over a check_audit --export JSONL chain."""
+        path = exported_chain(tmp_path, records=4)
+        pristine = path.read_bytes()
+        line_ends = [i for i, b in enumerate(pristine) if b == 0x0A]
+        for offset in range(len(pristine)):
+            mutated = bytearray(pristine)
+            mutated[offset] ^= 0x01
+            path.write_bytes(bytes(mutated))
+            assert check_audit.main([str(path), "--json"]) == 1
+            report = json.loads(capsys.readouterr().out)
+            record = next(i for i, end in enumerate(line_ends) if offset <= end)
+            assert report["failed_index"] == record, offset
+        path.write_bytes(pristine)
+        assert check_audit.main([str(path)]) == 0
+
+    def test_truncated_export_reports_tail_index(self, tmp_path, capsys):
+        path = exported_chain(tmp_path, records=5)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 30])  # chop into the last record
+        assert check_audit.main([str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["failed_index"] == 4
+
+    def test_deleting_a_middle_export_record_breaks_at_the_gap(self, tmp_path, capsys):
+        path = exported_chain(tmp_path, records=5)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2] + lines[3:]))
+        assert check_audit.main([str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["failed_index"] == 2
+
 
 class TestCheckAuditTool:
     """tools/check_audit.py — the independent, stdlib-only verifier."""
 
-    def test_ok_on_file_chain(self, tmp_path, capsys):
-        root = seeded_file_chain(tmp_path)
-        assert check_audit.main([str(root)]) == 0
-        assert "audit chain OK: 6 records" in capsys.readouterr().out
-
-    def test_ok_on_sqlite_chain(self, tmp_path, capsys):
-        root = seeded_sqlite_chain(tmp_path)
+    def test_ok_on_vault(self, tmp_path, capsys):
+        root = seeded_chain(tmp_path)
         assert check_audit.main(["--verify", str(root), "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True and report["records"] == 6
-        assert report["backend"] == "sqlite"
 
     def test_heads_agree_with_library(self, tmp_path, capsys):
-        root = seeded_file_chain(tmp_path)
+        root = seeded_chain(tmp_path)
         check_audit.main([str(root), "--json"])
         report = json.loads(capsys.readouterr().out)
-        records = list(FileAuditLog(str(root / "audit.log")).entries())
+        records = list(KeyVault(root).audit_log().entries())
         assert report["head"] == records[-1]["digest"]
 
-    def test_flipped_byte_gives_exit_1_and_exact_index(self, tmp_path, capsys):
-        root = seeded_file_chain(tmp_path)
-        path = root / "audit.log"
-        lines = path.read_bytes().splitlines(keepends=True)
-        # Flip one byte inside record 3's digest hex.
-        target = bytearray(lines[3])
-        pos = target.rindex(b'"digest"') + len(b'"digest":"') + 5
-        target[pos] = ord("x") if target[pos] != ord("x") else ord("y")
-        lines[3] = bytes(target)
-        path.write_bytes(b"".join(lines))
-        assert check_audit.main([str(root), "--json"]) == 1
-        report = json.loads(capsys.readouterr().out)
-        assert report["ok"] is False
-        assert report["failed_index"] == 3
-
     def test_sqlite_edit_gives_exit_1_and_exact_index(self, tmp_path, capsys):
-        root = seeded_sqlite_chain(tmp_path)
+        root = seeded_chain(tmp_path)
         conn = sqlite3.connect(root / "registry.db")
         with conn:
             conn.execute("UPDATE audit SET event = 'detect' WHERE idx = 4")
@@ -270,18 +272,18 @@ class TestCheckAuditTool:
         assert "error" in json.loads(capsys.readouterr().out)
 
     def test_export_writes_canonical_jsonl(self, tmp_path, capsys):
-        root = seeded_sqlite_chain(tmp_path)
+        root = seeded_chain(tmp_path)
         exported = tmp_path / "chain.jsonl"
         assert check_audit.main([str(root), "--export", str(exported)]) == 0
         capsys.readouterr()
-        # The export itself re-verifies as a file chain.
+        # The export itself re-verifies as a JSONL chain.
         lines = exported.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 6
         assert check_audit.main([str(exported)]) == 0
 
     def test_runs_as_a_subprocess_without_repro_on_path(self, tmp_path):
         """The auditor story: stock python + the script + the chain file."""
-        root = seeded_file_chain(tmp_path)
+        root = seeded_chain(tmp_path)
         result = subprocess.run(
             [sys.executable, str(TOOLS_DIR / "check_audit.py"), "--verify", str(root)],
             capture_output=True,

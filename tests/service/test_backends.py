@@ -1,12 +1,4 @@
-"""Registry backend matrix: resolution, parity, and cross-backend identity.
-
-Unlike the rest of the service suite (which exercises whichever backend
-``REPRO_VAULT_BACKEND`` selects), this module parametrises *explicitly* over
-both backends and additionally asserts the cross-backend invariants: the
-same registry operations produce the same observable state, and a protect /
-detect / dispute pipeline produces byte/bit-identical results whichever
-backend holds the vault.
-"""
+"""The SQLite registry: schema checks, durability, live reads, ordered claims."""
 
 import json
 import os
@@ -14,83 +6,18 @@ import sqlite3
 
 import pytest
 
-from repro.datagen.medical import generate_medical_table
 from repro.service.api import ProtectionService
-from repro.service.backends import (
-    BACKEND_ENV,
-    VaultError,
-    detect_backend,
-    resolve_backend,
-    split_backend_scheme,
-)
-from repro.service.vault import DatasetRecord, KeyVault, migrate_vault
-
-BACKENDS = ("file", "sqlite")
+from repro.service.backends import SQLiteRegistryBackend, VaultError
+from repro.service.vault import DatasetRecord, KeyVault
 
 
-def make_vault(tmp_path, backend, name="v"):
-    return KeyVault.init(tmp_path / name, backend=backend)
+def make_vault(tmp_path, name="v"):
+    return KeyVault.init(tmp_path / name)
 
 
-class TestResolution:
-    def test_scheme_split(self):
-        assert split_backend_scheme("sqlite:/srv/v") == ("sqlite", "/srv/v")
-        assert split_backend_scheme("file:/srv/v") == ("file", "/srv/v")
-        assert split_backend_scheme("/srv/v") == (None, "/srv/v")
-
-    def test_scheme_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        vault = KeyVault.init(f"file:{tmp_path / 'v'}")
-        assert vault.backend == "file"
-
-    def test_env_decides_fresh_vaults(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        assert KeyVault.init(tmp_path / "v").backend == "sqlite"
-
-    def test_bad_env_value_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "postgres")
-        with pytest.raises(VaultError, match="unknown vault backend"):
-            KeyVault.init(tmp_path / "v")
-
-    def test_scheme_conflicts_with_explicit_backend(self, tmp_path):
-        with pytest.raises(VaultError, match="conflicts"):
-            KeyVault.init(f"sqlite:{tmp_path / 'v'}", backend="file")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_open_detects_from_disk_regardless_of_env(self, tmp_path, monkeypatch, backend):
-        make_vault(tmp_path, backend).register_tenant("acme")
-        # The env var must never override what is actually on disk.
-        monkeypatch.setenv(BACKEND_ENV, "sqlite" if backend == "file" else "file")
-        reopened = KeyVault(tmp_path / "v")
-        assert reopened.backend == backend
-        assert reopened.tenants() == ["acme"]
-
-    def test_detect_backend(self, tmp_path):
-        assert detect_backend(tmp_path) is None
-        KeyVault.init(tmp_path / "f", backend="file")
-        KeyVault.init(tmp_path / "s", backend="sqlite")
-        assert detect_backend(tmp_path / "f") == "file"
-        assert detect_backend(tmp_path / "s") == "sqlite"
-
-    def test_resolve_priority_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        assert resolve_backend(tmp_path / "x", "file")[0] == "file"
-        assert resolve_backend(tmp_path / "x")[0] == "sqlite"
-        monkeypatch.delenv(BACKEND_ENV)
-        assert resolve_backend(tmp_path / "x")[0] == "file"
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_open_or_init_round_trip(self, tmp_path, backend):
-        first = KeyVault.open_or_init(tmp_path / "v", backend=backend)
-        first.register_tenant("acme")
-        second = KeyVault.open_or_init(tmp_path / "v")
-        assert second.backend == backend
-        assert second.tenants() == ["acme"]
-
-
-class TestSQLiteSpecifics:
+class TestDatabase:
     def test_unsupported_registry_version_rejected(self, tmp_path):
-        vault = make_vault(tmp_path, "sqlite")
+        vault = make_vault(tmp_path)
         conn = sqlite3.connect(vault.path)
         with conn:
             conn.execute("UPDATE meta SET value = '99' WHERE key = 'version'")
@@ -107,36 +34,37 @@ class TestSQLiteSpecifics:
             KeyVault(root)
 
     def test_restrictive_mode(self, tmp_path):
-        vault = make_vault(tmp_path, "sqlite")
+        vault = make_vault(tmp_path)
         assert (os.stat(vault.path).st_mode & 0o777) == 0o600
 
+    def test_fresh_connection_is_fully_synchronous(self, tmp_path):
+        """synchronous=FULL (2): every acknowledged commit is fsynced."""
+        make_vault(tmp_path)
+        conn = SQLiteRegistryBackend(tmp_path / "v").connection()
+        assert conn.execute("PRAGMA synchronous").fetchone()[0] == 2
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+
     def test_live_cross_handle_visibility(self, tmp_path):
-        """SQLite readers see committed writes immediately — no reload needed."""
-        writer = make_vault(tmp_path, "sqlite")
+        """Readers see committed writes from other handles immediately."""
+        writer = make_vault(tmp_path)
         reader = KeyVault(tmp_path / "v")
         writer.register_tenant("acme")
         assert reader.tenants() == ["acme"]
+        writer.record_dataset(
+            "acme", DatasetRecord(dataset_id="d", registered_statistic=1.5, mark_bits="1010")
+        )
+        assert reader.dataset("acme", "d").mark_bits == "1010"
 
-    def test_data_version_change_signal(self, tmp_path):
-        writer = make_vault(tmp_path, "sqlite")
-        reader = KeyVault(tmp_path / "v")
-        assert reader.reload_if_changed() is False
-        writer.register_tenant("acme")
-        assert reader.reload_if_changed() is True
-        assert reader.reload_if_changed() is False
-
-    def test_own_writes_do_not_trip_the_signal(self, tmp_path):
-        vault = make_vault(tmp_path, "sqlite")
-        vault.register_tenant("acme")
-        assert vault.reload_if_changed() is False
+    def test_open_or_init_round_trip(self, tmp_path):
+        first = KeyVault.open_or_init(tmp_path / "v")
+        first.register_tenant("acme")
+        second = KeyVault.open_or_init(tmp_path / "v")
+        assert second.tenants() == ["acme"]
 
 
-class TestBackendParity:
-    """The same operations observe the same state on either backend."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_full_registry_lifecycle(self, tmp_path, backend):
-        vault = make_vault(tmp_path, backend)
+class TestRegistryLifecycle:
+    def test_full_registry_lifecycle(self, tmp_path):
+        vault = make_vault(tmp_path)
         record = vault.register_tenant("acme", encryption_key="E", watermark_secret="W")
         with pytest.raises(VaultError, match="already registered"):
             vault.register_tenant("acme")
@@ -149,14 +77,18 @@ class TestBackendParity:
         )
         assert vault.dataset("acme", "d").registered_statistic == 1.5
         assert vault.datasets("acme") == ["d"]
+        assert list(vault.dataset_records("acme")) == ["d"]
         with pytest.raises(VaultError, match="no dataset"):
             vault.dataset("acme", "ghost")
         with pytest.raises(VaultError, match="unknown tenant"):
             vault.tenant("nobody")
+        with pytest.raises(VaultError, match="unknown tenant"):
+            vault.dataset("nobody", "d")
+        with pytest.raises(VaultError, match="unknown tenant"):
+            vault.dataset_records("nobody")
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_claim_order_and_move_to_end(self, tmp_path, backend):
-        """Replaced claims move to the end — dispute-visible, must match."""
+    def test_claim_order_and_move_to_end(self, tmp_path):
+        """Replaced claims move to the end — claim order is dispute-visible."""
         from repro.watermarking.keys import WatermarkKey
         from repro.watermarking.mark import Mark
         from repro.watermarking.ownership import OwnershipClaim
@@ -172,7 +104,7 @@ class TestBackendParity:
                 columns=None,
             )
 
-        store = make_vault(tmp_path, backend).claim_store()
+        store = make_vault(tmp_path).claim_store()
         for name in ("alpha", "beta", "gamma"):
             store.add_claim("d", claim_for(name))
         store.add_claim("d", claim_for("alpha"))  # replace -> moves to end
@@ -181,86 +113,58 @@ class TestBackendParity:
         assert store.remove_claim("d", "beta") is False
         assert store.claimants("d") == ["gamma", "alpha"]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_export_import_round_trip(self, tmp_path, backend):
-        vault = make_vault(tmp_path, backend, "src")
+    def test_export_import_round_trip(self, tmp_path):
+        vault = make_vault(tmp_path, "src")
         vault.register_tenant("acme", encryption_key="E", watermark_secret="W")
         vault.issue_token("acme")
         vault.record_dataset(
             "acme", DatasetRecord(dataset_id="d", registered_statistic=1.5, mark_bits="1010")
         )
         state = vault.export_state()
-        other = make_vault(tmp_path, "sqlite" if backend == "file" else "file", "dst")
+        other = make_vault(tmp_path, "dst")
         other.import_state(state)
         assert other.export_state() == state
 
-    @pytest.mark.parametrize("direction", [("file", "sqlite"), ("sqlite", "file")])
-    def test_migrate_carries_registry_and_chain(self, tmp_path, direction):
-        src_backend, dst_backend = direction
-        source = make_vault(tmp_path, src_backend, "src")
-        service = ProtectionService(source)
-        service.register_tenant("acme", encryption_key="E", watermark_secret="W")
-        source.record_dataset(
-            "acme", DatasetRecord(dataset_id="d", registered_statistic=1.5, mark_bits="1010")
-        )
-        destination = make_vault(tmp_path, dst_backend, "dst")
-        summary = migrate_vault(source, destination)
-        assert summary["tenants"] == 1
-        assert destination.tenant("acme") == source.tenant("acme")
-        # Chain: the copied record plus the sealing "migrate" event, verified.
-        log = destination.audit_log()
-        assert log.verify() == summary["audit_records"]
-        events = [record["event"] for record in log.entries()]
-        assert events[0] == "register" and events[-1] == "migrate"
 
+class TestStatus:
+    def test_status_matches_per_dataset_reads(self, tmp_path):
+        """The bulk status queries report what the per-dataset reads would."""
+        from repro.watermarking.keys import WatermarkKey
+        from repro.watermarking.mark import Mark
+        from repro.watermarking.ownership import OwnershipClaim
 
-@pytest.fixture(scope="module")
-def raw_csv(tmp_path_factory):
-    base = tmp_path_factory.mktemp("identity")
-    path = base / "identity.csv"
-    generate_medical_table(size=1200, seed=20260808).to_csv(str(path))
-    return str(path)
-
-
-class TestCrossBackendIdentity:
-    """The acceptance bar: identical protect/detect/dispute across backends."""
-
-    def _pipeline(self, tmp_path, backend, raw_csv):
-        vault = KeyVault.init(tmp_path / f"vault-{backend}", backend=backend)
-        service = ProtectionService(vault, chunk_size=256)
-        service.register_tenant(
-            "owner", encryption_key="E-fixed", watermark_secret="W-fixed", k=10, eta=20, epsilon=5
-        )
-        out = str(tmp_path / f"out-{backend}.csv")
-        protect = service.protect("owner", raw_csv, out, dataset_id="identity")
-        detect = service.detect("owner", out, dataset_id="identity")
-        verdict = service.dispute("owner", out, dataset_id="identity")
-        with open(out, "rb") as handle:
-            protected_bytes = handle.read()
-        return protect, detect, verdict, protected_bytes
-
-    def test_protect_detect_dispute_identical(self, tmp_path, raw_csv):
-        results = {
-            backend: self._pipeline(tmp_path, backend, raw_csv) for backend in BACKENDS
-        }
-        p_file, d_file, v_file, bytes_file = results["file"]
-        p_sql, d_sql, v_sql, bytes_sql = results["sqlite"]
-        assert bytes_file == bytes_sql  # byte-identical protected output
-        assert p_file.mark == p_sql.mark
-        assert p_file.registered_statistic == p_sql.registered_statistic
-        assert p_file.cells_changed == p_sql.cells_changed
-        assert d_file.mark == d_sql.mark  # bit-identical recovered mark
-        assert d_file.mark_loss == d_sql.mark_loss == 0.0
-        assert v_file.winner == v_sql.winner == "owner"
-        assert [a.claimant for a in v_file.assessments] == [
-            a.claimant for a in v_sql.assessments
-        ]
-
-    def test_status_reports_backend(self, tmp_path, raw_csv):
-        for backend in BACKENDS:
-            vault = KeyVault.init(tmp_path / f"s-{backend}", backend=backend)
-            service = ProtectionService(vault)
-            service.register_tenant("owner")
-            status = service.status()
-            assert status["backend"] == backend
-            assert "owner" in status["tenants"]
+        vault = make_vault(tmp_path)
+        service = ProtectionService(vault, audit=False)
+        for tenant in ("acme", "globex"):
+            service.register_tenant(tenant)
+        store = vault.claim_store()
+        for index, dataset in enumerate(("b", "a", "c")):
+            vault.record_dataset(
+                "acme",
+                DatasetRecord(dataset_id=dataset, registered_statistic=index, mark_bits="10"),
+            )
+            for claimant in ("owner", f"rival-{index}"):
+                store.add_claim(
+                    dataset,
+                    OwnershipClaim(
+                        claimant=claimant,
+                        registered_statistic=1.0,
+                        mark=Mark.from_string("10"),
+                        watermark_key=WatermarkKey(k1=b"a", k2=b"b", eta=5),
+                        encryption_key="e",
+                    ),
+                )
+        status = service.status()
+        assert "backend" not in status
+        assert list(status["tenants"]) == ["acme", "globex"]
+        acme = status["tenants"]["acme"]["datasets"]
+        assert list(acme) == ["a", "b", "c"]
+        for dataset, details in acme.items():
+            assert details["claimants"] == store.claimants(dataset)
+            assert details["registered_statistic"] == vault.dataset(
+                "acme", dataset
+            ).registered_statistic
+        assert status["tenants"]["globex"]["datasets"] == {}
+        assert service.status("globex")["tenants"].keys() == {"globex"}
+        with pytest.raises(VaultError, match="unknown tenant"):
+            service.status("nobody")

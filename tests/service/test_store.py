@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service.store import ClaimStore, claim_from_json, claim_to_json
+from repro.service.store import claim_from_json, claim_to_json
+from repro.service.vault import KeyVault
 from repro.watermarking.keys import WatermarkKey
 from repro.watermarking.mark import Mark
 from repro.watermarking.ownership import OwnershipClaim
@@ -53,44 +54,36 @@ class TestClaimSerialisation:
         assert claim_from_json(payload).code is None
 
 
+def _store(tmp_path):
+    return KeyVault.init(tmp_path / "v").claim_store()
+
+
 class TestClaimStore:
     def test_cold_process_rehydration(self, tmp_path):
-        path = tmp_path / "claims.json"
-        ClaimStore(path).add_claim("claims-2024", _claim())
-        # A fresh store instance re-reads the file and yields equal objects.
-        rehydrated = ClaimStore(path).claims("claims-2024")
+        _store(tmp_path).add_claim("claims-2024", _claim())
+        # A fresh store over the same vault re-reads the rows into equal objects.
+        rehydrated = KeyVault(tmp_path / "v").claim_store().claims("claims-2024")
         assert rehydrated == [_claim()]
 
     def test_rivals_accumulate_per_dataset(self, tmp_path):
-        store = ClaimStore(tmp_path / "claims.json")
+        store = _store(tmp_path)
         store.add_claim("d", _claim("owner"))
         store.add_claim("d", _claim("mallory", encryption_key="wrong"))
         assert store.claimants("d") == ["owner", "mallory"]
         assert store.datasets() == ["d"]
 
     def test_same_claimant_replaces(self, tmp_path):
-        store = ClaimStore(tmp_path / "claims.json")
+        store = _store(tmp_path)
         store.add_claim("d", _claim("owner"))
         store.add_claim("d", _claim("owner"))
         assert store.claimants("d") == ["owner"]
 
     def test_remove_claim(self, tmp_path):
-        store = ClaimStore(tmp_path / "claims.json")
+        store = _store(tmp_path)
         store.add_claim("d", _claim("owner"))
         assert store.remove_claim("d", "owner") is True
         assert store.remove_claim("d", "owner") is False
         assert store.datasets() == []
 
     def test_empty_dataset_has_no_claims(self, tmp_path):
-        assert ClaimStore(tmp_path / "claims.json").claims("nope") == []
-
-    def test_read_only_use_never_writes(self, tmp_path):
-        """A store that only reads must not create its file (read-only vaults)."""
-        path = tmp_path / "claims.json"
-        store = ClaimStore(path)
-        store.claims("d")
-        store.claimants("d")
-        store.datasets()
-        assert not path.exists()
-        store.add_claim("d", _claim())
-        assert path.exists()
+        assert _store(tmp_path).claims("nope") == []
