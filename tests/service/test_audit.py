@@ -85,6 +85,27 @@ class TestRecordFormat:
         assert excinfo.value.index == 1
         assert log.verify() == 1
 
+    def test_threaded_appends_stay_linear(self, tmp_path):
+        """Handler-pool threads each hold a connection; the chain never forks."""
+        import threading
+
+        root = tmp_path / "v"
+        KeyVault.init(root)
+
+        def append(worker):
+            log = KeyVault(root).audit_log()
+            for step in range(5):
+                log.append("detect", f"tenant-{worker}", payload={"step": step})
+
+        threads = [threading.Thread(target=append, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        log = KeyVault(root).audit_log()
+        assert log.verify() == 20
+        assert [record.index for record in log.entries()] == list(range(20))
+
 
 class TestServiceCapture:
     """Every successful service mutation lands exactly one chained record."""
@@ -209,6 +230,18 @@ class TestTamperEvidence:
             KeyVault(root).audit_log().verify()
         assert excinfo.value.index == 2
 
+    def test_sqlite_swapped_rows_break_at_the_first_swapped_index(self, tmp_path):
+        root = seeded_chain(tmp_path, records=6)
+        conn = sqlite3.connect(root / "registry.db")
+        with conn:
+            conn.execute("UPDATE audit SET idx = -1 WHERE idx = 2")
+            conn.execute("UPDATE audit SET idx = 2 WHERE idx = 3")
+            conn.execute("UPDATE audit SET idx = 3 WHERE idx = -1")
+        conn.close()
+        with pytest.raises(AuditChainError) as excinfo:
+            KeyVault(root).audit_log().verify()
+        assert excinfo.value.index == 2
+
     def test_every_single_byte_flip_of_the_export_reports_its_index(self, tmp_path, capsys):
         """The stdlib verifier over a check_audit --export JSONL chain."""
         path = exported_chain(tmp_path, records=4)
@@ -265,6 +298,16 @@ class TestCheckAuditTool:
         assert check_audit.main([str(root), "--json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["failed_index"] == 4
+
+    def test_deleted_row_gives_exit_1_and_index_of_the_gap(self, tmp_path, capsys):
+        root = seeded_chain(tmp_path)
+        conn = sqlite3.connect(root / "registry.db")
+        with conn:
+            conn.execute("DELETE FROM audit WHERE idx = 3")
+        conn.close()
+        assert check_audit.main([str(root), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False and report["failed_index"] == 3
 
     def test_missing_chain_gives_exit_2(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()

@@ -33,9 +33,48 @@ class TestDatabase:
         with pytest.raises(VaultError, match="registry"):
             KeyVault(root)
 
+    def test_database_without_schema_rejected(self, tmp_path):
+        root = tmp_path / "v"
+        root.mkdir()
+        conn = sqlite3.connect(root / "registry.db")
+        with conn:
+            conn.execute("CREATE TABLE unrelated (x INTEGER)")
+        conn.close()
+        with pytest.raises(VaultError, match="no registry schema"):
+            KeyVault(root)
+
+    def test_missing_version_row_rejected(self, tmp_path):
+        vault = make_vault(tmp_path)
+        conn = sqlite3.connect(vault.path)
+        with conn:
+            conn.execute("DELETE FROM meta WHERE key = 'version'")
+        conn.close()
+        with pytest.raises(VaultError, match="unsupported registry version None"):
+            KeyVault(tmp_path / "v")
+
     def test_restrictive_mode(self, tmp_path):
         vault = make_vault(tmp_path)
         assert (os.stat(vault.path).st_mode & 0o777) == 0o600
+
+    def test_wal_sidecars_inherit_restrictive_mode(self, tmp_path):
+        """The -wal file holds committed secrets until checkpoint: 0600 too."""
+        vault = make_vault(tmp_path)
+        vault.register_tenant("acme", encryption_key="E", watermark_secret="W")
+        for suffix in ("-wal", "-shm"):
+            assert (os.stat(vault.path + suffix).st_mode & 0o777) == 0o600, suffix
+
+    def test_connections_are_per_thread(self, tmp_path):
+        import threading
+
+        make_vault(tmp_path)
+        backend = SQLiteRegistryBackend(tmp_path / "v")
+        main = backend.connection()
+        assert backend.connection() is main
+        seen = []
+        thread = threading.Thread(target=lambda: seen.append(backend.connection()))
+        thread.start()
+        thread.join()
+        assert len(seen) == 1 and seen[0] is not main
 
     def test_fresh_connection_is_fully_synchronous(self, tmp_path):
         """synchronous=FULL (2): every acknowledged commit is fsynced."""
@@ -124,6 +163,65 @@ class TestRegistryLifecycle:
         other = make_vault(tmp_path, "dst")
         other.import_state(state)
         assert other.export_state() == state
+
+
+class TestTransactions:
+    """Each mutation is one transaction: all of it lands, or none of it."""
+
+    def seeded(self, tmp_path):
+        vault = make_vault(tmp_path)
+        vault.register_tenant("acme", encryption_key="E", watermark_secret="W")
+        vault.record_dataset(
+            "acme", DatasetRecord(dataset_id="d", registered_statistic=1.5, mark_bits="1010")
+        )
+        return vault
+
+    def test_failed_import_rolls_back_to_the_previous_state(self, tmp_path):
+        vault = self.seeded(tmp_path)
+        before = vault.export_state()
+        broken = {
+            "tenants": {"globex": {"record": {"tenant_id": "globex"}, "datasets": {}}},
+            "claims": {"d": [{"mark": "10"}]},  # no claimant: fails mid-import
+        }
+        with pytest.raises(KeyError, match="claimant"):
+            vault.import_state(broken)
+        assert KeyVault(tmp_path / "v").export_state() == before
+
+    def test_import_replaces_previous_contents(self, tmp_path):
+        vault = self.seeded(tmp_path)
+        vault.import_state(
+            {"tenants": {"globex": {"record": {"tenant_id": "globex"}, "datasets": {}}}}
+        )
+        assert vault.tenants() == ["globex"]
+        assert vault.export_state() == {
+            "tenants": {"globex": {"record": {"tenant_id": "globex"}, "datasets": {}}},
+            "claims": {},
+        }
+
+    def test_import_leaves_the_audit_chain_untouched(self, tmp_path):
+        vault = self.seeded(tmp_path)
+        log = vault.audit_log()
+        log.append("register", "acme")
+        head = list(log.entries())
+        vault.import_state({"tenants": {}, "claims": {}})
+        assert list(log.entries()) == head
+        assert log.verify() == 1
+
+    def test_dataset_for_unknown_tenant_writes_nothing(self, tmp_path):
+        vault = self.seeded(tmp_path)
+        before = vault.export_state()
+        with pytest.raises(VaultError, match="unknown tenant"):
+            vault.record_dataset(
+                "nobody", DatasetRecord(dataset_id="d", registered_statistic=1.0, mark_bits="1")
+            )
+        assert vault.export_state() == before
+
+    def test_token_for_unknown_tenant_rejected(self, tmp_path):
+        vault = self.seeded(tmp_path)
+        with pytest.raises(VaultError, match="unknown tenant"):
+            vault.issue_token("nobody")
+        assert not vault.has_token("nobody")
+        assert "nobody" not in vault
 
 
 class TestStatus:

@@ -124,6 +124,54 @@ class TestFixtureMigration:
         with pytest.raises(VaultError, match="already initialised"):
             migrate_vault(FIXTURE, vault)
 
+    def test_registry_is_the_legacy_documents(self, tmp_path):
+        summary = migrate_vault(FIXTURE, tmp_path / "new")
+        tenants = json.loads((FIXTURE / "vault.json").read_text(encoding="utf-8"))["tenants"]
+        claims = json.loads((FIXTURE / "claims.json").read_text(encoding="utf-8"))["claims"]
+        assert KeyVault(tmp_path / "new").export_state() == {"tenants": tenants, "claims": claims}
+        assert summary == {
+            "tenants": len(tenants),
+            "claims": sum(len(entries) for entries in claims.values()),
+            "audit_records": len(LEGACY_EVENTS) + 1,
+        }
+
+    def test_source_is_left_as_it_was(self, tmp_path):
+        legacy = legacy_copy(tmp_path)
+        before = {path.name: path.read_bytes() for path in legacy.iterdir()}
+        migrate_vault(legacy, tmp_path / "new")
+        assert {path.name: path.read_bytes() for path in legacy.iterdir()} == before
+
+
+class TestPartialLegacyVaults:
+    def test_vault_document_alone_migrates_with_only_the_seal(self, tmp_path):
+        legacy = legacy_copy(tmp_path)
+        (legacy / "claims.json").unlink()
+        (legacy / "audit.log").unlink()
+        summary = migrate_vault(legacy, tmp_path / "new")
+        assert summary == {"tenants": 1, "claims": 0, "audit_records": 1}
+        vault = KeyVault(tmp_path / "new")
+        assert vault.tenants() == ["owner"]
+        assert [record["event"] for record in vault.audit_log().entries()] == ["migrate"]
+
+    def test_missing_source_is_refused(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(VaultError, match="no legacy vault"):
+            migrate_vault(tmp_path / "empty", tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+
+    def test_unreadable_vault_document_is_refused(self, tmp_path):
+        legacy = legacy_copy(tmp_path)
+        (legacy / "vault.json").write_text("{not json", encoding="utf-8")
+        with pytest.raises(VaultError, match="not a readable vault document"):
+            migrate_vault(legacy, tmp_path / "new")
+        assert not (tmp_path / "new").exists()
+
+    def test_cli_reports_a_missing_source(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        args = ["vault", "migrate", str(tmp_path / "empty"), str(tmp_path / "new"), "--json"]
+        assert main(args) == 2
+        assert "no legacy vault" in json.loads(capsys.readouterr().out)["error"]
+
 
 class TestTamperedLegacyChain:
     def test_every_single_byte_edit_refuses_at_the_exact_index(self, tmp_path):

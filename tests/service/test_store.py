@@ -87,3 +87,47 @@ class TestClaimStore:
 
     def test_empty_dataset_has_no_claims(self, tmp_path):
         assert _store(tmp_path).claims("nope") == []
+
+    def test_empty_dataset_id_rejected(self, tmp_path):
+        store = _store(tmp_path)
+        with pytest.raises(ValueError, match="dataset_id"):
+            store.add_claim("", _claim())
+        assert store.datasets() == []
+
+    def test_read_only_use_never_writes(self, tmp_path):
+        """Reads commit nothing: another connection sees no new data version."""
+        import sqlite3
+
+        store = _store(tmp_path)
+        observer = sqlite3.connect(tmp_path / "v" / "registry.db")
+
+        def data_version():
+            return observer.execute("PRAGMA data_version").fetchone()[0]
+
+        before = data_version()
+        store.claims("d")
+        store.claimants("d")
+        store.tenant_claimants("acme")
+        store.datasets()
+        assert data_version() == before
+        store.add_claim("d", _claim())
+        assert data_version() != before
+        observer.close()
+
+    def test_tenant_claimants_cover_only_that_tenants_datasets(self, tmp_path):
+        from repro.service.vault import DatasetRecord
+
+        vault = KeyVault.init(tmp_path / "v")
+        store = vault.claim_store()
+        for tenant, dataset in (("acme", "a"), ("globex", "g")):
+            vault.register_tenant(tenant)
+            vault.record_dataset(
+                tenant, DatasetRecord(dataset_id=dataset, registered_statistic=1.0, mark_bits="1")
+            )
+        store.add_claim("a", _claim("owner"))
+        store.add_claim("g", _claim("owner"))
+        store.add_claim("a", _claim("mallory"))
+        store.add_claim("unregistered", _claim("mallory"))
+        assert store.tenant_claimants("acme") == {"a": ["owner", "mallory"]}
+        assert store.tenant_claimants("globex") == {"g": ["owner"]}
+        assert store.tenant_claimants("nobody") == {}
