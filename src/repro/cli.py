@@ -300,7 +300,7 @@ def _protect_lines(report: dict) -> list[str]:
     if "runner" in report:
         lines.insert(
             2,
-            f"  pass-2 runner / workers   : {report['runner']} / {report['workers']} "
+            f"  runner / workers          : {report['runner']} / {report['workers']} "
             f"({report.get('chunks', 0)} chunks)",
         )
     return lines
@@ -667,12 +667,12 @@ def build_parser() -> argparse.ArgumentParser:
     protect = subparsers.add_parser("protect", help="bin + watermark a raw CSV table")
     protect.add_argument("input", help="raw CSV with columns ssn,age,zip_code,doctor,symptom,prescription")
     protect.add_argument("output", help="path of the outsourced CSV to write")
-    protect.add_argument("--workers", type=int, help="parallel pass-2 (rewrite+embed) workers")
+    protect.add_argument("--workers", type=int, help="parallel workers for both protect passes")
     protect.add_argument(
         "--runner",
         choices=(*RUNNER_NAMES, REMOTE_RUNNER_NAME),
-        help="where pass 2 runs: thread (default) or process "
-        "(remote is detect-only and is rejected)",
+        help="where both passes run: thread or process (default: process, "
+        "inline for a one-chunk input or --workers 1; remote is detect-only and is rejected)",
     )
     protect.add_argument(
         "--code",
@@ -696,8 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument(
         "--runner",
         choices=(*RUNNER_NAMES, REMOTE_RUNNER_NAME),
-        help="where shard votes are collected: thread (default), process, "
-        "or remote — a --worker-url fleet (vault mode)",
+        help="where shard votes are collected: thread, process (default; inline "
+        "for a one-chunk input or --workers 1), or remote — a --worker-url fleet (vault mode)",
     )
     detect.add_argument(
         "--code",

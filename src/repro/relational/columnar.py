@@ -38,7 +38,7 @@ from array import array
 from collections import Counter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.relational.io import coerce_numeric_cell
+from repro.relational.io import CsvRecordError, coerce_numeric_cell
 from repro.relational.schema import ColumnType, TableSchema
 from repro.relational.table import Row, Table
 
@@ -48,6 +48,7 @@ __all__ = [
     "ColumnRow",
     "ColumnarTable",
     "CsvParsePlan",
+    "chunk_record_line",
 ]
 
 _INT64_MIN = -(1 << 63)
@@ -327,7 +328,12 @@ class CsvParsePlan:
         records: Iterable[Sequence[str]],
         limit: int | None = None,
     ) -> int:
-        """Parse up to *limit* records into *table*; return the number parsed."""
+        """Parse up to *limit* records into *table*; return the number parsed.
+
+        A cell that does not parse raises :class:`~repro.relational.io.CsvRecordError`
+        naming its column and carrying the failing record's 0-based index
+        among the non-blank records of this call; *table* is then unusable.
+        """
         table._unshare()
         store = table._store
         coerce = coerce_numeric_cell
@@ -340,11 +346,16 @@ class CsvParsePlan:
             if not record:
                 continue  # DictReader skips blank records
             width = len(record)
-            for name, position, numeric, append in plan:
-                if position is None:
-                    raise ValueError(f"CSV row is missing column {name!r}")
-                text = record[position] if position < width else "None"
-                append(coerce(text) if numeric else text)
+            try:
+                for name, position, numeric, append in plan:
+                    if position is None:
+                        raise CsvRecordError(f"CSV row is missing column {name!r}", record=count)
+                    text = record[position] if position < width else "None"
+                    append(coerce(text) if numeric else text)
+            except CsvRecordError:
+                raise
+            except ValueError as error:
+                raise CsvRecordError(f"column {name!r}: {error}", record=count) from None
             count += 1
             store.row_count += 1
             if limit is not None and count >= limit:
@@ -568,11 +579,40 @@ class ColumnarTable(Table):
         return table
 
     @classmethod
-    def from_csv_chunk(cls, schema: TableSchema, header: str, lines: Iterable[str]) -> "ColumnarTable":
-        """Parse one raw CSV chunk (header line + data lines) into columns."""
+    def from_csv_chunk(cls, schema: TableSchema, header: str, lines: Sequence[str]) -> "ColumnarTable":
+        """Parse one raw CSV chunk (header line + data lines) into columns.
+
+        A record that does not parse raises
+        :class:`~repro.relational.io.CsvRecordError` at its physical line
+        within the chunk (the header is line 1).
+        """
         table = cls(schema)
         reader = csv.reader(itertools.chain([header], lines))
         fieldnames = next(reader, None)
         if fieldnames is not None:
-            CsvParsePlan(fieldnames, schema).extend_table(table, reader)
+            try:
+                CsvParsePlan(fieldnames, schema).extend_table(table, reader)
+            except CsvRecordError as error:
+                raise error.at_line(chunk_record_line(header, lines, error.record)) from None
         return table
+
+
+def chunk_record_line(header: str, lines: Sequence[str], record: int) -> int:
+    """The 1-based physical line where non-blank *record* starts in a raw chunk.
+
+    Lines count from the chunk's header (line 1), so a caller that knows how
+    many data lines preceded the chunk adds that many to get the file line.
+    Quoted cells may span lines, so the chunk is re-read with the same
+    ``csv`` reader the parse used — an error-path cost only.
+    """
+    reader = csv.reader(itertools.chain([header], lines))
+    next(reader, None)
+    start = reader.line_num + 1
+    index = 0
+    for fields in reader:
+        if fields:
+            if index == record:
+                return start
+            index += 1
+        start = reader.line_num + 1
+    raise IndexError(f"the chunk has no record {record}")

@@ -29,12 +29,52 @@ from repro.dht.node import Interval
 from repro.relational.schema import ColumnType, TableSchema
 
 __all__ = [
+    "CsvRecordError",
     "coerce_numeric_cell",
     "parse_cell",
     "parse_row",
     "iter_csv_rows",
     "write_csv_rows",
 ]
+
+
+class CsvRecordError(ValueError):
+    """A CSV record whose cells do not parse or validate, located in its file.
+
+    Raised where a record fails with whatever location is known there: the
+    0-based *record* index within the records being parsed, the 1-based
+    physical *line* once a caller has counted lines (a quoted cell may span
+    several, so records and lines differ), and the *path* of the file.  The
+    message names the most precise of these, e.g.
+    ``raw.csv, line 25001: column 'age': could not convert string to float: 'abc'``.
+    Picklable, so a pool worker's error reaches the caller intact.
+    """
+
+    def __init__(
+        self,
+        reason: str,
+        *,
+        record: int | None = None,
+        line: int | None = None,
+        path: str | None = None,
+    ) -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.record = record
+        self.line = line
+        self.path = path
+
+    def __str__(self) -> str:
+        if self.line is None:
+            return self.reason
+        where = f"line {self.line}" if self.path is None else f"{self.path}, line {self.line}"
+        return f"{where}: {self.reason}"
+
+    def at_line(self, line: int, path: str | None = None) -> "CsvRecordError":
+        """The same failure, located at physical *line* (of *path*, when given)."""
+        return CsvRecordError(
+            self.reason, record=self.record, line=line, path=path if path is not None else self.path
+        )
 
 
 def coerce_numeric_cell(text: str) -> object:

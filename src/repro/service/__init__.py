@@ -19,10 +19,11 @@ cold process:
   files never materialise as a full table;
 * :mod:`repro.service.executor` — shard-parallel embed/detect, bit-identical
   to the serial batched path;
-* :mod:`repro.service.runners` — pluggable vote-collection backends: the
-  GIL-bound :class:`ThreadRunner`, the engine-reconstructing
-  :class:`ProcessRunner`, and the multi-machine :class:`RemoteRunner`
-  coordinating a fleet of ``repro serve`` workers;
+* :mod:`repro.service.runners` — pluggable chunk runners: the GIL-bound
+  :class:`ThreadRunner`, the engine-reconstructing :class:`ProcessRunner`,
+  the :class:`DefaultRunner` used when none is named (processes for CSV
+  files, inline for one chunk or one worker), and the multi-machine
+  :class:`RemoteRunner` coordinating a fleet of ``repro serve`` workers;
 * :mod:`repro.service.wire` — the JSON wire format distributed detection
   speaks (specs, frontier metadata, votes — lossless by test);
 * :mod:`repro.service.api` — the :class:`ProtectionService` facade the CLI
@@ -38,6 +39,7 @@ from repro.service.audit import AuditChainError, SQLiteAuditLog
 from repro.service.backends import SQLiteRegistryBackend, VaultError
 from repro.service.executor import ShardExecutor, shard_spans
 from repro.service.runners import (
+    DefaultRunner,
     FleetError,
     ProcessRunner,
     RemoteRunner,
@@ -63,6 +65,7 @@ __all__ = [
     "ShardRunner",
     "ThreadRunner",
     "ProcessRunner",
+    "DefaultRunner",
     "RemoteRunner",
     "FleetError",
     "resolve_runner",

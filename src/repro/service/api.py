@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.binning.binner import BinnedTable
 from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
@@ -31,9 +31,15 @@ from repro.ontology.registry import standard_ontology
 from repro.relational.schema import TableSchema, medical_schema
 from repro.relational.table import Table
 from repro.service.executor import ShardExecutor
-from repro.service.runners import DisputePlan, ProtectPlan, ShardRunner, WatermarkerSpec
+from repro.service.runners import (
+    AggregatePlan,
+    DisputePlan,
+    ProtectPlan,
+    ShardRunner,
+    WatermarkerSpec,
+)
 from repro.service.store import ClaimStore
-from repro.service.streaming import DEFAULT_CHUNK_SIZE, iter_rows
+from repro.service.streaming import DEFAULT_CHUNK_SIZE
 from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, VaultError
 from repro.telemetry.trace import span as _stage_span
 from repro.watermarking.hierarchical import DetectionReport
@@ -41,7 +47,6 @@ from repro.watermarking.mark import Mark, mark_loss
 from repro.watermarking.ownership import (
     DisputeVerdict,
     OwnershipClaim,
-    identifier_total,
     statistic_from_total,
 )
 
@@ -112,7 +117,8 @@ def _suspect_metadata(
 class ProtectOutcome:
     """What one streamed ``protect`` run produced and registered.
 
-    ``runner``/``workers`` name where pass 2 (rewrite + embed + emit) ran;
+    ``runner``/``workers`` name where both passes ran (pass 1's parse and
+    counts, pass 2's rewrite + embed + emit);
     ``chunk_seconds`` is each chunk's worker-side wall clock in chunk order —
     the per-chunk timings the protect report surfaces so a parallel protect's
     spread is visible without profiling.
@@ -127,7 +133,7 @@ class ProtectOutcome:
     cells_changed: int
     tuples_selected: int
     information_loss: float
-    runner: str = "thread"
+    runner: str = "process"
     workers: int = 1
     chunk_seconds: tuple[float, ...] = ()
 
@@ -156,7 +162,7 @@ class DetectOutcome:
     positions_with_votes: int
     tuples_selected: int
     shards: int
-    runner: str = "thread"
+    runner: str = "process"
     code: str = "repetition"
     corrected_bits: int = 0
     bit_confidence: tuple[float, ...] = ()
@@ -319,28 +325,22 @@ class ProtectionService:
         if not identifying:
             raise ValueError("the schema must have at least one identifying column")
 
-        # Pass 1 — global aggregates, constant memory.
-        leaf_counts = {
-            column: {leaf: 0 for leaf in self._trees[column].leaves()} for column in quasi
-        }
+        # Pass 1 — global aggregates per chunk on the runner, merged here.
+        executor = self._local_executor_for(workers, runner)
         trees = {column: self._trees[column] for column in quasi}
-        rows = 0
-
-        def identifiers() -> Iterator[object]:
-            # One sweep feeds both aggregates: leaf counts here, the
-            # identifier total from what this generator yields.
-            nonlocal rows
-            for row in iter_rows(input_csv, schema):
-                rows += 1
-                for column in quasi:
-                    leaf_counts[column][trees[column].leaf_for_raw(row[column])] += 1
-                for column in identifying:
-                    yield row[column]
-
         with _stage_span("protect.pass1") as pass1_scope:
-            ident_total, ident_count = identifier_total(identifiers())
-            pass1_scope.set(rows=rows)
-        statistic = statistic_from_total(ident_total, ident_count)
+            totals = executor.aggregate_csv(
+                AggregatePlan(schema=schema, trees=trees, identifying_columns=tuple(identifying)),
+                input_csv,
+                chunk_size=chunk_size,
+            )
+            pass1_scope.set(rows=totals.rows)
+        rows = totals.rows
+        statistic = statistic_from_total(totals.identifier_total, totals.identifier_count)
+        leaf_counts = {
+            column: {leaf: totals.leaf_counts[column][leaf.name] for leaf in tree.leaves()}
+            for column, tree in trees.items()
+        }
 
         mark = framework.register_statistic(statistic)
         agent = framework.binning_agent
@@ -350,7 +350,6 @@ class ProtectionService:
         watermarker = framework.watermarker()
 
         # Pass 2 — rewrite + embed + emit, chunk by chunk on the runner.
-        executor = self._local_executor_for(workers, runner)
         run = executor.protect_csv(
             ProtectPlan(
                 spec=WatermarkerSpec.of(watermarker),
@@ -550,20 +549,18 @@ class ProtectionService:
     ) -> ShardExecutor:
         """Like :meth:`_executor_for`, but on a runner that may see keys.
 
-        Protect's pass 2 (raw identifiers) and dispute (decryption keys) run
-        only on local runners.  A service whose *default* runner is a detect
-        fleet (a ``repro serve --runner remote`` coordinator) falls back to
-        the local thread runner for them.  Only an *explicitly requested*
-        fleet runner is refused (by the executor, before protect's output
-        file exists), so asking for the impossible stays loud while the
-        default deployment keeps working.
+        Protect (raw identifiers) and dispute (decryption keys) run only on
+        local runners.  A service whose *default* runner is a detect fleet (a
+        ``repro serve --runner remote`` coordinator) falls back to the local
+        default runner (:class:`~repro.service.runners.DefaultRunner`) for
+        them.  Only an *explicitly requested* fleet runner is refused (before
+        protect's output file exists), so asking for the impossible stays
+        loud while the default deployment keeps working.
         """
         executor = self._executor_for(workers, runner)
         if executor.runner.is_local or runner is not None:
             return executor
-        return ShardExecutor(
-            workers if workers is not None else executor.max_workers, runner="thread"
-        )
+        return ShardExecutor(workers if workers is not None else executor.max_workers)
 
     # ----------------------------------------------------------------- dispute
     def register_claim(self, dataset_id: str, claim: OwnershipClaim) -> None:
@@ -591,7 +588,7 @@ class ProtectionService:
         merges in chunk order and every claim is finalised once — the same
         verdict as ``framework.resolve_dispute`` over the materialised table.
         Decryption keys never reach a detect fleet: under a remote default
-        runner the dispute runs on the local thread runner.
+        runner the dispute runs on the local default runner.
         """
         with _stage_span("service.dispute"):
             return self._dispute(

@@ -17,16 +17,21 @@ embedded/vote-collected independently, and the results merged:
   row to a serial embed.
 
 *Where* the per-shard vote collection runs is delegated to a pluggable
-:class:`~repro.service.runners.ShardRunner`: the default
+:class:`~repro.service.runners.ShardRunner`: the
 :class:`~repro.service.runners.ThreadRunner` shares the engine's digest
 caches but is GIL-bound on small hash payloads, the
 :class:`~repro.service.runners.ProcessRunner` rebuilds engines per worker
-from picklable params and ships only ``DetectionVotes`` back, and the
+from picklable params and ships only ``DetectionVotes`` back (the default
+:class:`~repro.service.runners.DefaultRunner` uses it for CSV files and
+threads for in-memory shards), and the
 :class:`~repro.service.runners.RemoteRunner` does the same over HTTP against
 a fleet of ``repro serve`` workers — the merge machinery is identical in all
 three cases, which is what keeps every runner bit-identical to serial.
 
-Protect's pass 2 is the embed-side counterpart (:meth:`ShardExecutor.protect_csv`):
+Protect's pass 1 (:meth:`ShardExecutor.aggregate_csv`) sums per-chunk
+:class:`~repro.service.runners.ChunkAggregates` — leaf counts and the exact
+identifier total — which add up to one sweep's in any order.  Pass 2 is the
+embed-side counterpart (:meth:`ShardExecutor.protect_csv`):
 once pass 1 has fixed the binning plan, rewrite + embed is per-chunk
 independent, so the runner maps :func:`~repro.service.runners.protect_raw_chunk`
 over raw CSV chunks and the executor splices the returned chunk texts — in
@@ -46,6 +51,7 @@ order, so finalising it reproduces the whole-table assessment.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -55,6 +61,8 @@ from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.service.runners import (
     LOCAL_ONLY_ERROR,
+    AggregatePlan,
+    ChunkAggregates,
     DisputePlan,
     ProtectPlan,
     ShardRunner,
@@ -233,6 +241,26 @@ class ShardExecutor:
         return watermarker.finalize_votes(merged, mark_length)
 
     # ------------------------------------------------------------------ protect
+    def aggregate_csv(
+        self, plan: AggregatePlan, input_csv: str, *, chunk_size: int = DEFAULT_CHUNK_SIZE
+    ) -> ChunkAggregates:
+        """Pass 1 of a streamed protect: every chunk's partials, merged in chunk order.
+
+        A header-only input merges to zero rows, empty leaf counters and a
+        zero identifier total.
+        """
+        merged = ChunkAggregates(
+            rows=0,
+            leaf_counts={column: Counter() for column in plan.trees},
+            identifier_total=0,
+            identifier_count=0,
+        )
+        for part in self._runner.aggregate_csv(
+            plan, input_csv, chunk_size=chunk_size, max_workers=self._max_workers
+        ):
+            merged.merge(part)
+        return merged
+
     def protect_csv(
         self,
         plan: ProtectPlan,

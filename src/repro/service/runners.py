@@ -9,9 +9,9 @@ over chunks and yields one
 :class:`~repro.watermarking.hierarchical.DetectionVotes` per chunk, **in
 chunk order**, with a bounded number in flight.
 
-Three implementations:
+Three implementations, plus the default that picks between two of them:
 
-* :class:`ThreadRunner` — today's behavior: a
+* :class:`ThreadRunner` — a
   :class:`~concurrent.futures.ThreadPoolExecutor` whose workers share the
   watermarker (and its digest caches).  Cheap to start, but Python hashing
   over small payloads holds the GIL, so parallelism buys little CPU.
@@ -29,8 +29,14 @@ Three implementations:
   and bounded retries; each response carries that chunk's serialized
   :class:`DetectionVotes`, merged locally exactly like the other runners' —
   which is what keeps a fleet detect bit-identical to a serial one.
+* :class:`DefaultRunner` — what ``runner=None`` resolves to: the process
+  runner for every raw-CSV map, run inline (no pool) for a one-chunk input or
+  one worker, and the thread runner for in-memory shards.
 
-Since PR 5 the runners carry protect's pass 2 as well as detection: once the
+The runners carry both passes of protect as well as detection.  Pass 1
+(:meth:`ShardRunner.aggregate_csv`) maps :func:`aggregate_raw_chunk` over raw
+chunks; each returns mergeable :class:`ChunkAggregates` — per-leaf counts and
+the exact identifier total — that the caller adds in chunk order.  Once the
 binning plan is fixed, rewrite + embed is per-chunk independent, so
 :meth:`ShardRunner.protect_csv` maps :func:`protect_raw_chunk` over the same
 quote-parity raw chunks and yields one :class:`ProtectedChunk` — the chunk's
@@ -52,16 +58,18 @@ each claimant's votes — and yields one mergeable
 Claims carry encryption keys, so the remote fleet refuses disputes too.
 
 All runners are stateless across calls: pools live for one ``collect*``,
-``protect*`` or ``dispute*`` call (the remote fleet's failure bookkeeping
+``aggregate*``, ``protect*`` or ``dispute*`` call (the remote fleet's failure bookkeeping
 too), so a runner instance can be shared by many executors and services.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -69,7 +77,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from repro.binning.binner import BinnedTable, rewrite_table
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
 from repro.crypto.cipher import FieldEncryptor
-from repro.relational.columnar import ColumnarTable
+from repro.dht.tree import DomainHierarchyTree
+from repro.relational.columnar import ColumnarTable, chunk_record_line
+from repro.relational.io import CsvRecordError
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table
 from repro.service.streaming import (
@@ -102,21 +112,26 @@ from repro.watermarking.ownership import (
     OwnershipClaim,
     OwnershipRegistry,
     claim_watermarker,
+    identifier_total,
 )
 
 __all__ = [
     "WatermarkerSpec",
+    "AggregatePlan",
+    "ChunkAggregates",
     "ProtectPlan",
     "ProtectedChunk",
     "DisputePlan",
     "ShardRunner",
     "ThreadRunner",
     "ProcessRunner",
+    "DefaultRunner",
     "RemoteRunner",
     "FleetError",
     "RUNNER_NAMES",
     "LOCAL_ONLY_ERROR",
     "collect_raw_chunk",
+    "aggregate_raw_chunk",
     "protect_raw_chunk",
     "dispute_raw_chunk",
     "REMOTE_RUNNER_NAME",
@@ -194,6 +209,17 @@ _WORKER_WATERMARKER_CACHE_SIZE = 8
 _WORKER_WATERMARKERS_LOCK = threading.Lock()
 
 
+def _reset_worker_watermarkers_lock() -> None:
+    # Process pools fork.  A worker forked while another thread of the parent
+    # held the lock (an inline chunk of a concurrent request) would inherit it
+    # held and hang on its first chunk, so every forked child gets a new one.
+    global _WORKER_WATERMARKERS_LOCK
+    _WORKER_WATERMARKERS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_worker_watermarkers_lock)
+
+
 def _worker_watermarker(spec: WatermarkerSpec) -> HierarchicalWatermarker:
     with _WORKER_WATERMARKERS_LOCK:
         watermarker = _WORKER_WATERMARKERS.pop(spec, None)
@@ -248,10 +274,138 @@ def _traced_task(context: TraceContext | None, task: Callable, /, *args) -> tupl
     return result, tuple(local.export()) if local is not None else ()
 
 
+def _located_task(
+    task: Callable[[str, list[str]], object], path: str, offset: int, header: str, lines: list[str]
+) -> object:
+    """``task(header, lines)``, with a failing record located in *path*.
+
+    *offset* is the number of data lines before this chunk, so a
+    :class:`~repro.relational.io.CsvRecordError` at chunk line ``n`` (the
+    header is line 1) is line ``n + offset`` of the file — whichever runner
+    ran the chunk, since the error is located where it is raised.
+    """
+    try:
+        return task(header, lines)
+    except CsvRecordError as error:
+        raise error.at_line(error.line + offset, path) from None
+
+
 def _run_in_trace_scope(context: TraceContext | None, fn: Callable, /, *args):
     """Run *fn* under a propagated same-process trace scope (thread pools)."""
     with _trace_adopt(context):
         return fn(*args)
+
+
+@dataclass(frozen=True)
+class AggregatePlan:
+    """What protect's pass 1 needs per chunk, in picklable form.
+
+    Pass 1 computes binning's and the ownership statistic's global
+    aggregates (Sections 4–5): per-leaf row counts of every quasi-identifying
+    column (*trees*, keyed by column) and the exact identifier total of the
+    *identifying_columns*.  Both are sums, so each chunk contributes a
+    :class:`ChunkAggregates` that merges with the others in any order.
+    """
+
+    schema: TableSchema
+    trees: Mapping[str, DomainHierarchyTree]
+    identifying_columns: tuple[str, ...]
+
+
+@dataclass
+class ChunkAggregates:
+    """Pass-1 partials over some rows: leaf counts, identifier total, rows.
+
+    *leaf_counts* maps each quasi-identifying column to a :class:`Counter`
+    of leaf node *names* (nodes do not keep their identity across a process
+    boundary; names are unique within a tree).  *identifier_total* and
+    *identifier_count* are :func:`~repro.watermarking.ownership.identifier_total`'s
+    exact-int sum and count, so merged partials equal one sweep over the file.
+    """
+
+    rows: int
+    leaf_counts: dict[str, Counter]
+    identifier_total: int
+    identifier_count: int
+
+    def merge(self, other: "ChunkAggregates") -> "ChunkAggregates":
+        """Add *other*'s counts into this one (in place); returns ``self``."""
+        self.rows += other.rows
+        for column, counts in other.leaf_counts.items():
+            self.leaf_counts.setdefault(column, Counter()).update(counts)
+        self.identifier_total += other.identifier_total
+        self.identifier_count += other.identifier_count
+        return self
+
+
+def _first_index(values: Sequence[object], value: object) -> int:
+    """Index of the first cell equal to *value*, which *values* holds (NaN matches NaN)."""
+    return next(
+        index
+        for index, candidate in enumerate(values)
+        if candidate is value or candidate == value or (candidate != candidate and value != value)
+    )
+
+
+def _leaf_counts(
+    plan: AggregatePlan, table: ColumnarTable, header: str, lines: list[str]
+) -> dict[str, Counter]:
+    """Per-column leaf-name counts of *table*, every distinct value validated.
+
+    The column's values are counted first, and each *distinct* value is
+    mapped by ``leaf_for_raw`` once, instead of scanning the leaves per cell.
+    An out-of-domain value raises :class:`~repro.relational.io.CsvRecordError`
+    at the earliest record holding one, over all columns.
+    """
+    columns = table.column_sequences(tuple(plan.trees))
+    leaf_counts: dict[str, Counter] = {}
+    failures: list[tuple[int, str]] = []
+    for column, tree in plan.trees.items():
+        values = columns[column]
+        counts: Counter = Counter()
+        # Counter keeps first-occurrence order, so the first distinct value
+        # that fails is also the column's earliest failing record.
+        for value, rows in Counter(values).items():
+            try:
+                counts[tree.leaf_for_raw(value).name] += rows
+            except ValueError as error:
+                failures.append((_first_index(values, value), f"column {column!r}: {error}"))
+                break
+        leaf_counts[column] = counts
+    if failures:
+        record, reason = min(failures)
+        raise CsvRecordError(reason, record=record, line=chunk_record_line(header, lines, record))
+    return leaf_counts
+
+
+def aggregate_raw_chunk(plan: AggregatePlan, header: str, lines: list[str]) -> ChunkAggregates:
+    """Pool task: parse one raw CSV chunk and return its pass-1 partials.
+
+    The chunk parses columnar — every cell, so a bad one fails here, before
+    pass 2 writes anything — and the first bad record fails the chunk, as in
+    a row-by-row sweep: when a cell does not parse, the records before it are
+    still checked for out-of-domain values, and an earlier one of those wins.
+    """
+    with _stage_span("protect.pass1.parse", lines=len(lines)):
+        try:
+            table = ColumnarTable.from_csv_chunk(plan.schema, header, lines)
+        except CsvRecordError as error:
+            # error.line counts the header as line 1: the records before the
+            # bad one are exactly the data lines before that line.
+            before = ColumnarTable.from_csv_chunk(plan.schema, header, lines[: error.line - 2])
+            _leaf_counts(plan, before, header, lines)
+            raise
+    with _stage_span("protect.pass1.count", rows=len(table)):
+        leaf_counts = _leaf_counts(plan, table, header, lines)
+        columns = table.column_sequences(plan.identifying_columns)
+        total = count = 0
+        for column in plan.identifying_columns:
+            column_total, column_count = identifier_total(columns[column])
+            total += column_total
+            count += column_count
+    return ChunkAggregates(
+        rows=len(table), leaf_counts=leaf_counts, identifier_total=total, identifier_count=count
+    )
 
 
 @dataclass(frozen=True)
@@ -389,6 +543,14 @@ def dispute_raw_chunk(plan: DisputePlan, header: str, lines: list[str]) -> tuple
     )
 
 
+def _offset_chunks(path: str, chunk_size: int) -> Iterator[tuple[int, str, list[str]]]:
+    """``(offset, header, lines)`` per raw chunk: *offset* data lines precede it."""
+    offset = 0
+    for header, lines in iter_raw_chunks(path, chunk_size):
+        yield offset, header, lines
+        offset += len(lines)
+
+
 def _bounded_ordered(
     submit: Callable[[object], "object"],
     items: Iterable[object],
@@ -424,6 +586,12 @@ class ShardRunner:
     """
 
     name: str = "?"
+
+    #: Whether a raw-chunk map with one chunk or one worker skips the pool and
+    #: runs in the calling thread (the default runner's choice: an idle pool
+    #: costs more than the one chunk it would carry).  Named runners keep
+    #: their pool, so ``--runner process --workers 1`` still means processes.
+    inline_serial: bool = False
 
     #: Whether chunks run on this host.  Only local runners carry keyed work
     #: — protect's pass 2 (raw identifiers) and dispute (decryption keys).
@@ -498,6 +666,26 @@ class ShardRunner:
 
         yield from self.collect_tables(watermarker, views(), mark_length, max_workers=max_workers)
 
+    def aggregate_csv(
+        self,
+        plan: AggregatePlan,
+        path: str,
+        *,
+        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        max_workers: int,
+    ) -> Iterator[ChunkAggregates]:
+        """Pass-1 partials per raw chunk of *path*, in chunk order.
+
+        Pass 1 of a streamed protect on this runner's pool: workers parse and
+        count (:func:`aggregate_raw_chunk`); the caller merges.
+        """
+        return self._map_raw_chunks(
+            functools.partial(aggregate_raw_chunk, plan),
+            path,
+            chunk_size=chunk_size,
+            max_workers=max_workers,
+        )
+
     def protect_csv(
         self,
         plan: ProtectPlan,
@@ -554,17 +742,30 @@ class ShardRunner:
         picklable, so thread workers run it in-process while process workers
         receive it pickled.  At most ``max_workers + 1`` chunks are in flight
         and results come back in submission order; spans a foreign-process
-        worker recorded are ingested into the caller's tracer.  A runner that
-        is not local refuses: every raw-chunk task is keyed work.
+        worker recorded are ingested into the caller's tracer.  A record that
+        fails to parse or validate raises
+        :class:`~repro.relational.io.CsvRecordError` naming *path* and its
+        physical line.  A runner that is not local refuses: every raw-chunk
+        task is keyed work.  A runner with :attr:`inline_serial` set runs a
+        one-chunk input, or a one-worker call, in the calling thread with no
+        pool at all.
         """
         if not self.is_local:
             raise ValueError(LOCAL_ONLY_ERROR)
+        chunks = _offset_chunks(path, chunk_size)
+        if self.inline_serial:
+            head = list(itertools.islice(chunks, 2))
+            chunks = itertools.chain(head, chunks)
+            if max_workers == 1 or len(head) < 2:
+                for chunk in chunks:
+                    yield _located_task(task, path, *chunk)
+                return
         context = _trace_capture()
         tracer = _current_tracer()
         with self._pool(max_workers) as pool:
             for result, spans in _bounded_ordered(
-                lambda chunk: pool.submit(_traced_task, context, task, *chunk),
-                iter_raw_chunks(path, chunk_size),
+                lambda chunk: pool.submit(_traced_task, context, _located_task, task, path, *chunk),
+                chunks,
                 max_workers,
             ):
                 if spans and tracer is not None:
@@ -628,6 +829,35 @@ class ProcessRunner(ShardRunner):
             if on_rows is not None:
                 on_rows(rows)
             yield votes
+
+
+class DefaultRunner(ProcessRunner):
+    """The runner used when none is named: processes for CSV files, threads in memory.
+
+    Every raw-CSV map — protect's two passes, ``collect_csv`` and
+    ``dispute_csv`` — runs on a process pool: its tasks parse, encrypt and
+    hash, all under the interpreter lock on threads.  A one-chunk input or a
+    one-worker call runs inline instead (:attr:`~ShardRunner.inline_serial`),
+    since starting an idle pool costs more than one chunk's work.  In-memory
+    shards (:meth:`collect_tables`) stay on threads, like
+    :meth:`~repro.service.executor.ShardExecutor.embed`: pickling the rows
+    would cost more than the votes save.  Output is identical to every other
+    local runner's; only where the work runs differs.
+    """
+
+    inline_serial = True
+
+    def collect_tables(
+        self,
+        watermarker: HierarchicalWatermarker,
+        chunks: Iterable[BinnedTable],
+        mark_length: int,
+        *,
+        max_workers: int,
+    ) -> Iterator[DetectionVotes]:
+        return ThreadRunner().collect_tables(
+            watermarker, chunks, mark_length, max_workers=max_workers
+        )
 
 
 class FleetError(RuntimeError):
@@ -874,13 +1104,15 @@ REMOTE_RUNNER_NAME = RemoteRunner.name
 def resolve_runner(runner: "str | ShardRunner | None") -> ShardRunner:
     """A :class:`ShardRunner` instance from a name, an instance, or ``None``.
 
-    ``None`` and ``"thread"`` give the thread runner (the default);
-    ``"process"`` the process runner.  Instances pass through, which is how
-    a :class:`RemoteRunner` (whose fleet urls and token cannot travel in a
-    name) reaches the executor.
+    ``None`` gives the :class:`DefaultRunner` (raw CSV on processes, inline
+    for one chunk or one worker, in-memory shards on threads); ``"thread"``
+    the thread runner and ``"process"`` the process runner, each honoured for
+    every call.  Instances pass through, which is how a :class:`RemoteRunner`
+    (whose fleet urls and token cannot travel in a name) reaches the
+    executor.
     """
     if runner is None:
-        return ThreadRunner()
+        return DefaultRunner()
     if isinstance(runner, ShardRunner):
         return runner
     if runner == "thread":

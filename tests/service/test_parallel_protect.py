@@ -38,7 +38,7 @@ def big_env(tmp_path_factory):
     service.register_tenant("smallk", k=2, eta=20, epsilon=1)
     serial = str(base / "serial.csv")
     outcome = service.protect("owner", raw, serial, dataset_id="big", workers=1)
-    assert outcome.runner == "thread" and outcome.workers == 1
+    assert outcome.runner == "process" and outcome.workers == 1
     assert outcome.chunks == -(-ROWS_20K // CHUNK)
     return {"base": str(base), "raw": raw, "service": service, "serial": serial}
 
@@ -184,7 +184,7 @@ class TestRemoteRunnerRefused:
         generate_medical_table(size=600, seed=9).to_csv(small_raw)
         out = str(tmp_path / "out.csv")
         outcome = coordinator.protect("smallk", small_raw, out, dataset_id="coord")
-        assert outcome.runner == "thread" and outcome.rows == 600
+        assert outcome.runner == "process" and outcome.rows == 600
 
     def test_cli_rejects_remote_with_error_json(self, big_env, tmp_path, capsys):
         from repro.cli import main

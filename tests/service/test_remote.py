@@ -104,7 +104,9 @@ class TestFleetBitIdentity:
 
     def test_clean_20k(self, fleet):
         service = fleet["service"]
-        thread = service.detect("owner", fleet["protected"], dataset_id="big", workers=4)
+        thread = service.detect(
+            "owner", fleet["protected"], dataset_id="big", workers=4, runner="thread"
+        )
         remote = service.detect(
             "owner",
             fleet["protected"],
@@ -119,7 +121,7 @@ class TestFleetBitIdentity:
 
     def test_attacked_20k(self, fleet, attacked_csv):
         service = fleet["service"]
-        thread = service.detect("owner", attacked_csv, dataset_id="big", workers=4)
+        thread = service.detect("owner", attacked_csv, dataset_id="big", workers=4, runner="thread")
         remote = service.detect(
             "owner",
             attacked_csv,

@@ -7,6 +7,7 @@ import pytest
 from repro.attacks.alteration import SubsetAlterationAttack
 from repro.service.executor import ShardExecutor
 from repro.service.runners import (
+    DefaultRunner,
     ProcessRunner,
     ThreadRunner,
     WatermarkerSpec,
@@ -33,7 +34,8 @@ def watermarker(protection_framework):
 
 class TestResolveRunner:
     def test_names_and_default(self):
-        assert isinstance(resolve_runner(None), ThreadRunner)
+        assert isinstance(resolve_runner(None), DefaultRunner)
+        assert resolve_runner(None).name == "process"
         assert isinstance(resolve_runner("thread"), ThreadRunner)
         assert isinstance(resolve_runner("process"), ProcessRunner)
 
@@ -180,7 +182,8 @@ class TestServiceRunnerSelection:
 
 class TestExecutorRunnerWiring:
     def test_runner_name_surface(self):
-        assert ShardExecutor(2).runner_name == "thread"
+        assert ShardExecutor(2).runner_name == "process"
+        assert ShardExecutor(2, runner="thread").runner_name == "thread"
         assert ShardExecutor(2, runner="process").runner_name == "process"
         assert os.cpu_count() is not None  # sanity for the workers default
 

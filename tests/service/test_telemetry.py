@@ -42,6 +42,8 @@ DISPUTE_STAGES = {
 PROTECT_STAGES = {
     "service.protect",
     "protect.pass1",
+    "protect.pass1.parse",
+    "protect.pass1.count",
     "protect.parse",
     "protect.encrypt_generalize",
     "protect.embed",
