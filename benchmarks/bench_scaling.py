@@ -7,13 +7,10 @@ Measures the throughput of the three hot pipelines on a table of
   (HMAC pads built once, one ident serialisation per tuple, digest cache
   shared between embed and detect) versus the seed's scalar per-call path
   (``batch=False``), which are bit-identical by construction;
-* the four **attack simulators**, which now run on copy-on-write tables;
-* raw **table copying** — ``Table.copy()`` versus ``Table.lazy_copy()``;
-* the **protect hot path on both table substrates** — binning rewrite
-  (identifier encryption + ultimate generalisation) followed by the tuple
-  framing sweep (``ident_values`` + ``collect_votes``) on the row-store
-  :class:`Table` versus the columnar :class:`ColumnarTable`, asserted
-  bit-identical and >= 1.5x faster columnar at paper scale.
+* the four **attack simulators**, which run on copy-on-write tables;
+* the **protect hot path** — binning rewrite (identifier encryption +
+  ultimate generalisation) followed by the tuple framing sweep
+  (``ident_values`` + ``collect_votes``) over the table's columns.
 
 The asserted ``speedup`` (embed+detect, scalar / batched, best-of-3) is
 attached to the benchmark JSON as ``extra_info`` so the trajectory is tracked
@@ -42,7 +39,6 @@ from repro.attacks.generalization_attack import GeneralizationAttack
 from repro.binning.binner import BinnedTable, rewrite_table
 from repro.crypto.cipher import FieldEncryptor
 from repro.experiments.config import ExperimentConfig, build_workload
-from repro.relational.columnar import ColumnarTable
 from repro.watermarking.hierarchical import HierarchicalWatermarker
 
 TIMING_ROUNDS = 3
@@ -72,14 +68,12 @@ def _best_of(func, rounds: int = TIMING_ROUNDS) -> float:
 
 
 def _protect_hot_path(workload, raw_table):
-    """Binning rewrite + tuple framing over *raw_table*'s substrate.
+    """Binning rewrite + tuple framing over *raw_table*.
 
     This is the per-chunk core of streaming protect/detect: encrypt the
     identifying column(s), generalise the ultimate columns, then sweep the
     rewritten identifier column through the keyed-hash tuple framing
-    (``ident_values`` + ``collect_votes``).  ``rewrite_table`` dispatches on
-    the substrate, so passing a row-store :class:`Table` times the seed's
-    per-row path and passing a :class:`ColumnarTable` times the column sweeps.
+    (``ident_values`` + ``collect_votes``).
     """
     config = workload.config
     binned = workload.protected.binning_result.binned
@@ -169,62 +163,14 @@ def test_attack_suite_on_cow_tables(benchmark, scaling_workload):
     benchmark.extra_info["rows"] = len(binned.table)
 
 
-@pytest.fixture(scope="module")
-def columnar_raw_table(scaling_workload):
-    return ColumnarTable(scaling_workload.table.schema, scaling_workload.table.rows)
-
-
-def test_rewrite_and_frame_row_store(benchmark, scaling_workload):
-    _protect_hot_path(scaling_workload, scaling_workload.table)  # warm-up
+def test_rewrite_and_frame_columnar(benchmark, scaling_workload):
+    raw_table = scaling_workload.table
+    _protect_hot_path(scaling_workload, raw_table)  # warm-up
     benchmark.pedantic(
-        _protect_hot_path, args=(scaling_workload, scaling_workload.table),
+        _protect_hot_path, args=(scaling_workload, raw_table),
         rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1,
     )
-    benchmark.extra_info["rows"] = len(scaling_workload.table)
-
-
-def test_rewrite_and_frame_columnar(benchmark, scaling_workload, columnar_raw_table):
-    _protect_hot_path(scaling_workload, columnar_raw_table)  # warm-up
-    benchmark.pedantic(
-        _protect_hot_path, args=(scaling_workload, columnar_raw_table),
-        rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1,
-    )
-    benchmark.extra_info["rows"] = len(columnar_raw_table)
-
-
-def test_columnar_speedup_and_equivalence(benchmark, scaling_workload, columnar_raw_table):
-    """Columnar vs row-store hot path: bit-identical, >= 1.5x at paper scale."""
-    row_rewritten, row_votes = _protect_hot_path(scaling_workload, scaling_workload.table)
-    col_rewritten, col_votes = _protect_hot_path(scaling_workload, columnar_raw_table)
-    assert isinstance(col_rewritten, ColumnarTable)
-    assert row_rewritten == col_rewritten
-    assert row_votes.votes == col_votes.votes
-    assert row_votes.tuples_selected == col_votes.tuples_selected
-    assert row_votes.cells_read == col_votes.cells_read
-    assert row_votes.votes_cast == col_votes.votes_cast
-
-    row_time = _best_of(lambda: _protect_hot_path(scaling_workload, scaling_workload.table))
-    columnar_time = _best_of(lambda: _protect_hot_path(scaling_workload, columnar_raw_table))
-    speedup = row_time / columnar_time
-    benchmark.extra_info["rows"] = len(scaling_workload.table)
-    benchmark.extra_info["row_seconds"] = round(row_time, 4)
-    benchmark.extra_info["columnar_seconds"] = round(columnar_time, 4)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    # Same noise rationale as the embed/detect bar: assert only at paper
-    # scale, record the ratio everywhere for the trajectory.
-    if len(scaling_workload.table) >= 10_000:
-        assert speedup >= 1.5, f"expected >= 1.5x, measured {speedup:.2f}x"
-
-
-def test_table_copy_deep(benchmark, scaling_workload):
-    table = scaling_workload.protected.watermarked.table
-    benchmark.pedantic(table.copy, rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1)
-
-
-def test_table_copy_lazy(benchmark, scaling_workload):
-    table = scaling_workload.protected.watermarked.table
-    benchmark.pedantic(table.lazy_copy, rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1)
+    benchmark.extra_info["rows"] = len(raw_table)
 
 
 # ----------------------------------------------------------------- standalone
@@ -236,7 +182,7 @@ def _standalone_sizes() -> list[int]:
 def main() -> int:
     print(
         f"{'rows':>8} {'scalar s':>10} {'batched s':>10} {'speedup':>8} {'attacks s':>10}"
-        f" {'row rw+fr':>10} {'col rw+fr':>10} {'col gain':>8}"
+        f" {'rw+fr s':>10}"
     )
     for size in _standalone_sizes():
         config = ExperimentConfig(table_size=size, seed=2005, k=20, eta=50)
@@ -245,13 +191,10 @@ def main() -> int:
         scalar_time = _best_of(lambda: _embed_detect(workload, batch=False))
         batched_time = _best_of(lambda: _embed_detect(workload, batch=True))
         attack_time = _best_of(lambda: _run_attacks(workload.protected.watermarked))
-        columnar_raw = ColumnarTable(workload.table.schema, workload.table.rows)
-        row_time = _best_of(lambda: _protect_hot_path(workload, workload.table))
-        columnar_time = _best_of(lambda: _protect_hot_path(workload, columnar_raw))
+        rewrite_time = _best_of(lambda: _protect_hot_path(workload, workload.table))
         print(
             f"{size:>8} {scalar_time:>10.3f} {batched_time:>10.3f} "
-            f"{scalar_time / batched_time:>7.2f}x {attack_time:>10.3f}"
-            f" {row_time:>10.3f} {columnar_time:>10.3f} {row_time / columnar_time:>7.2f}x"
+            f"{scalar_time / batched_time:>7.2f}x {attack_time:>10.3f} {rewrite_time:>10.3f}"
         )
     return 0
 

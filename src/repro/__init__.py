@@ -6,7 +6,7 @@ The library implements the paper's unified protection framework for
 outsourced medical relations: k-anonymity **binning** along domain hierarchy
 trees constrained by off-line usage metrics, followed by **hierarchical
 watermarking** of the binned data, with a rightful-ownership protocol built on
-the encrypted identifying columns.  All substrates the paper relies on — a
+the encrypted identifying columns.  Everything else the paper relies on — a
 relational table engine, domain hierarchy trees, medical ontologies, a
 synthetic clinical data generator and the cryptographic primitives — are
 implemented here as well, so the package has no runtime dependencies.
@@ -76,7 +76,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # relational substrate
+    # relational table
     "Table",
     "TableSchema",
     "Column",

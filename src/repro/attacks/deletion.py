@@ -14,11 +14,11 @@ plain random-subset mode are provided.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 
 from repro.attacks.base import AttackResult
 from repro.binning.binner import BinnedTable
 from repro.crypto.prng import DeterministicPRNG
-from repro.relational.query import in_range
 
 __all__ = ["DeletionMode", "SubsetDeletionAttack"]
 
@@ -64,7 +64,7 @@ class SubsetDeletionAttack:
         self.n_ranges = n_ranges
 
     def run(self, binned: BinnedTable) -> AttackResult:
-        # Deletion only rebuilds the row list; surviving rows stay shared.
+        # The copy shares the table until the first delete rebuilds it.
         attacked = binned.lazy_copy()
         n_rows = len(attacked.table)
         target = int(round(n_rows * self.fraction))
@@ -90,16 +90,21 @@ class SubsetDeletionAttack:
         ranges: list[tuple[str, str]] = []
         deleted_total = 0
         attempts = 0
+        # The surviving identifiers in order, kept sorted across the deletes:
+        # each one removes exactly the run strictly between its bounds.
+        remaining = sorted(map(str, attacked.table.column_values(ident_column)))
         while deleted_total < target and attempts < self.n_ranges * 4:
             attempts += 1
-            remaining = [str(value) for value in attacked.table.column_values(ident_column)]
             if len(remaining) <= per_range:
                 break
-            remaining.sort()
             start = rng.randint(0, len(remaining) - per_range - 1)
             lval, uval = remaining[start], remaining[min(start + per_range + 1, len(remaining) - 1)]
             ranges.append((lval, uval))
-            deleted_total += attacked.table.delete_where(in_range(ident_column, lval, uval))
+            # WHERE ident > lval AND ident < uval, over the projected column.
+            values = attacked.table.column_values(ident_column)
+            doomed = [index for index, value in enumerate(values) if lval < value < uval]
+            deleted_total += attacked.table.delete_indices(doomed)
+            del remaining[bisect_right(remaining, lval) : bisect_left(remaining, uval)]
         return AttackResult(
             attacked=attacked,
             rows_touched=deleted_total,

@@ -19,8 +19,7 @@ report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
 from repro.binning.kanonymity import ColumnIndex, EnforcementMode, KAnonymitySpec
@@ -31,8 +30,7 @@ from repro.dht.node import DHTNode
 from repro.dht.tree import DomainHierarchyTree
 from repro.metrics.information_loss import table_information_loss
 from repro.metrics.usage_metrics import UsageMetrics
-from repro.relational.columnar import ColumnarTable, TypedColumn
-from repro.relational.table import Row, Table
+from repro.relational.table import Row, Table, TypedColumn
 from repro.telemetry.trace import span as _stage_span
 
 __all__ = [
@@ -40,35 +38,8 @@ __all__ = [
     "BinningResult",
     "BinningAgent",
     "BinPlan",
-    "rewrite_rows",
     "rewrite_table",
 ]
-
-
-def rewrite_rows(
-    rows: Iterable[Row],
-    schema,
-    encryptor: FieldEncryptor,
-    ultimate: MultiColumnGeneralization,
-):
-    """``Binning(tbl, ultigen)`` row by row: encrypt + generalise, streamed.
-
-    The single source of the per-row rewrite, shared by
-    :meth:`BinningAgent.rewrite_rows` (in-process, the agent's own encryptor)
-    and the protect pool workers (:func:`repro.service.runners.protect_raw_chunk`,
-    encryptor rebuilt from shipped key material) — which is what keeps a
-    runner-parallel protect byte-identical to the serial path by
-    construction, not by parallel maintenance of two loops.  Yields new row
-    dicts; the input rows are never mutated.
-    """
-    identifying = [column.name for column in schema.identifying_columns]
-    for row in rows:
-        new_row = dict(row)
-        for column in identifying:
-            new_row[column] = encryptor.encrypt(row[column])
-        for column, generalization in ultimate.items():
-            new_row[column] = generalization.generalize(row[column])
-        yield new_row
 
 
 _MISSING = object()
@@ -82,14 +53,15 @@ def rewrite_table(
 ) -> Table:
     """``Binning(tbl, ultigen)`` over a whole table, column at a time.
 
-    The bulk counterpart of :func:`rewrite_rows`: on a columnar table each
-    identifying column goes through :meth:`FieldEncryptor.encrypt_many` in
-    one sweep, each generalised column is rewritten with a per-distinct-value
-    memo (a bin by construction maps many raw values to one node value), and
-    untouched columns are copied wholesale.  On a row-store table it falls
-    back to :func:`rewrite_rows`, so both substrates share the same per-cell
-    arithmetic and stay bit-identical — the columnar equivalence suite
-    asserts the resulting tables compare equal.
+    Each identifying column goes through :meth:`FieldEncryptor.encrypt_many`
+    in one sweep, each generalised column is rewritten with a
+    per-distinct-value memo (a bin by construction maps many raw values to
+    one node value), and untouched columns are copied wholesale.  The input
+    table is never mutated.  The single source of the rewrite, shared by
+    :meth:`BinningAgent.bin` and the protect pool workers
+    (:func:`repro.service.runners.protect_raw_chunk`, encryptor rebuilt from
+    shipped key material) — which keeps a runner-parallel protect
+    byte-identical to the serial path by construction.
     """
     with _stage_span("protect.encrypt_generalize", rows=len(table)):
         return _rewrite_table(table, schema, encryptor, ultimate)
@@ -103,11 +75,6 @@ def _rewrite_table(
 ) -> Table:
     names = schema.column_names
     source = table.column_sequences(names)
-    if source is None:
-        rewritten = Table(schema)
-        for new_row in rewrite_rows(table, schema, encryptor, ultimate):
-            rewritten.insert(new_row)
-        return rewritten
     identifying = {column.name for column in schema.identifying_columns}
     columns: dict[str, object] = {}
     for name in names:
@@ -132,7 +99,7 @@ def _rewrite_table(
             columns[name] = generalized
         else:
             columns[name] = TypedColumn.from_values(list(values))
-    return ColumnarTable.from_columns(schema, columns)
+    return Table.from_columns(schema, columns)
 
 
 @dataclass
@@ -199,12 +166,9 @@ class BinnedTable:
         if not self.identifying_columns:
             return [self.ident_value(row) for row in self.table]
         columns = self.table.column_sequences(self.identifying_columns)
-        if columns is not None:
-            if len(self.identifying_columns) == 1:
-                return list(columns[self.identifying_columns[0]])
-            return list(zip(*(columns[name] for name in self.identifying_columns)))
-        getter = itemgetter(*self.identifying_columns)
-        return list(map(getter, self.table.rows))
+        if len(self.identifying_columns) == 1:
+            return list(columns[self.identifying_columns[0]])
+        return list(zip(*(columns[name] for name in self.identifying_columns)))
 
     # ------------------------------------------------------------------- bins
     def bin_sizes(self, column: str) -> dict[object, int]:
@@ -216,12 +180,12 @@ class BinnedTable:
         return self.table.group_by_count(list(self.quasi_columns))
 
     def lazy_copy(self) -> "BinnedTable":
-        """Copy-on-write copy: row dicts are shared until actually mutated.
+        """Copy-on-write copy: the table's columns are shared until mutated.
 
-        The attack simulators and the embedder mutate only a fraction of the
-        rows (one in ``η`` for embedding), so sharing the rest keeps the
-        pipelines O(rows touched) instead of O(table size).  Mutations must go
-        through :meth:`repro.relational.table.Table.mutable_row`.
+        The attack simulators and the embedder work on a copy of the table;
+        sharing it until the first write keeps the copy itself O(1).
+        Mutations must go through :meth:`repro.relational.table.Table.mutable_row`
+        or :meth:`~repro.relational.table.Table.set_cells`.
         """
         return BinnedTable(
             table=self.table.lazy_copy(),
@@ -235,10 +199,10 @@ class BinnedTable:
         )
 
     def slice(self, start: int, stop: int) -> "BinnedTable":
-        """A shard over rows ``[start, stop)`` sharing row dicts and metadata.
+        """A shard over rows ``[start, stop)`` sharing the frontier metadata.
 
         The row shards the shard-parallel executor distributes: the underlying
-        :meth:`Table.slice_view` shares the row dicts copy-on-write, and the
+        :meth:`Table.slice_view` holds just that range's cells, and the
         frontier metadata (trees, ultimate/maximal nodes) is identical by
         construction, so a detect over the shard reads exactly the votes the
         serial detect reads for those rows.
@@ -445,22 +409,12 @@ class BinningAgent:
             k=self._k_spec.k,
         )
 
-    def rewrite_rows(self, rows: Iterable[Row], schema, ultimate: MultiColumnGeneralization):
-        """``Binning(tbl, ultigen)`` row by row: encrypt + generalise, streamed.
-
-        Yields new row dicts; the input rows are never mutated.  This is the
-        per-row half of :meth:`bin`, factored out so chunked ingest can apply
-        it without materialising the whole table.
-        """
-        yield from rewrite_rows(rows, schema, self._encryptor, ultimate)
-
     # --------------------------------------------------------------- internals
     def _rewrite(self, table: Table, ultimate: MultiColumnGeneralization) -> Table:
         """``Binning(tbl, ultigen)`` of Figure 8: encrypt + generalise each tuple.
 
-        Dispatches on the table substrate via :func:`rewrite_table`: columnar
-        input is rewritten column by column (batched encryption, memoised
-        generalisation), row-store input keeps the seed's streamed row loop.
+        Delegates to :func:`rewrite_table`: column by column, with batched
+        encryption and memoised generalisation.
         """
         return rewrite_table(table, table.schema, self._encryptor, ultimate)
 

@@ -112,8 +112,7 @@ class ColumnIndex:
             tree = self._trees[column]
             # Leaf resolution is deterministic per value, so a per-distinct
             # memo turns the column sweep into one tree walk per bin instead
-            # of one per row (column_values is a single buffer copy on the
-            # columnar substrate).
+            # of one per row (column_values is a single buffer copy).
             leaf_for_raw = tree.leaf_for_raw
             memo: dict[object, DHTNode] = {}
             leaves: list[DHTNode] = []

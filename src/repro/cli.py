@@ -52,7 +52,6 @@ from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
 from repro.framework.pipeline import ProtectionFramework
 from repro.metrics.usage_metrics import UsageMetrics
 from repro.ontology.registry import standard_ontology
-from repro.relational.io import iter_csv_rows, write_csv_rows
 from repro.relational.schema import medical_schema
 from repro.relational.table import Table
 from repro.service.api import DEFAULT_TENANT, ProtectionService, dataset_id_for, suspect_view
@@ -123,7 +122,7 @@ def _load_protected_table(path: str, k: int, metrics_depth: int = 1) -> BinnedTa
     the wild live in :func:`repro.service.api.suspect_view`.
     """
     schema = medical_schema()
-    table = Table(schema, iter_csv_rows(path, schema))
+    table = Table.from_csv(path, schema)
     return suspect_view(
         table, dict(standard_ontology().items()), schema, k=k, metrics_depth=metrics_depth
     )
@@ -341,7 +340,7 @@ def _cmd_protect(args: argparse.Namespace) -> int:
     framework = _framework(args)
     table = _load_raw_table(args.input)
     protected = framework.protect(table)
-    write_csv_rows(args.output, table.schema, protected.outsourced_table)
+    protected.outsourced_table.to_csv(args.output)
 
     result = protected.binning_result
     _emit(

@@ -1,4 +1,4 @@
-"""Cryptographic substrate used by the protection framework.
+"""Cryptographic primitives used by the protection framework.
 
 The paper relies on three primitives:
 

@@ -1,4 +1,4 @@
-"""Minimal in-memory relational substrate.
+"""Minimal in-memory relational layer.
 
 The paper operates on a single relational table with three kinds of columns
 (Section 2):
@@ -9,16 +9,16 @@ The paper operates on a single relational table with three kinds of columns
 * **other** columns carrying no identifying information.
 
 The framework needs only a small slice of relational functionality: a typed
-schema, a row store with insert/delete/update, projections, group-by counting
-(for bin sizes) and the range-delete used by the Subset-Deletion attack of the
-evaluation (``DELETE FROM R WHERE SSN > lval AND SSN < uval``).  This package
-provides exactly that, with no external dependencies, so the rest of the
-library can treat "the database" as a plain Python object.
+schema, a column-stored table with insert/delete/update, projections,
+group-by counting (for bin sizes) and the range-delete used by the
+Subset-Deletion attack of the evaluation
+(``DELETE FROM R WHERE SSN > lval AND SSN < uval``).  This package provides
+exactly that, with no external dependencies, so the rest of the library can
+treat "the database" as a plain Python object.
 """
 
 from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
-from repro.relational.table import Row, Table
-from repro.relational.columnar import ColumnRow, ColumnarTable, ColumnStore, TypedColumn
+from repro.relational.table import ColumnRow, ColumnStore, Row, Table, TypedColumn
 from repro.relational.query import (
     delete_where,
     equals,
@@ -35,7 +35,6 @@ __all__ = [
     "TableSchema",
     "Row",
     "Table",
-    "ColumnarTable",
     "ColumnRow",
     "ColumnStore",
     "TypedColumn",

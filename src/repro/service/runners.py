@@ -78,10 +78,9 @@ from repro.binning.binner import BinnedTable, rewrite_table
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
 from repro.crypto.cipher import FieldEncryptor
 from repro.dht.tree import DomainHierarchyTree
-from repro.relational.columnar import ColumnarTable, chunk_record_line
 from repro.relational.io import CsvRecordError
 from repro.relational.schema import TableSchema
-from repro.relational.table import Table
+from repro.relational.table import Table, chunk_record_line
 from repro.service.streaming import (
     DEFAULT_CHUNK_SIZE,
     iter_raw_chunks,
@@ -248,16 +247,15 @@ def collect_raw_chunk(
 ) -> tuple[int, DetectionVotes]:
     """Process-pool task: parse one raw CSV chunk and collect its votes.
 
-    The chunk parses straight into a columnar table
-    (:meth:`~repro.relational.columnar.ColumnarTable.from_csv_chunk`), whose
-    parse plan mirrors ``csv.DictReader`` + ``parse_row`` cell for cell — a
-    worker sees exactly what the in-process reader would have produced, and
-    vote collection runs on the per-column fast path.  Returns
+    The chunk parses straight into table columns
+    (:meth:`~repro.relational.table.Table.from_csv_chunk`), whose parse plan
+    mirrors ``csv.DictReader`` + ``parse_row`` cell for cell — a worker sees
+    exactly what the in-process reader would have produced.  Returns
     ``(row_count, votes)``: the caller needs the count for the detection
     report and must not re-scan the chunk.
     """
     with _stage_span("detect.parse", lines=len(lines)):
-        table = ColumnarTable.from_csv_chunk(schema, header, lines)
+        table = Table.from_csv_chunk(schema, header, lines)
     binned = BinnedTable(table=table, **metadata)
     return len(table), _worker_watermarker(spec).collect_votes(binned, mark_length)
 
@@ -348,7 +346,7 @@ def _first_index(values: Sequence[object], value: object) -> int:
 
 
 def _leaf_counts(
-    plan: AggregatePlan, table: ColumnarTable, header: str, lines: list[str]
+    plan: AggregatePlan, table: Table, header: str, lines: list[str]
 ) -> dict[str, Counter]:
     """Per-column leaf-name counts of *table*, every distinct value validated.
 
@@ -388,11 +386,11 @@ def aggregate_raw_chunk(plan: AggregatePlan, header: str, lines: list[str]) -> C
     """
     with _stage_span("protect.pass1.parse", lines=len(lines)):
         try:
-            table = ColumnarTable.from_csv_chunk(plan.schema, header, lines)
+            table = Table.from_csv_chunk(plan.schema, header, lines)
         except CsvRecordError as error:
             # error.line counts the header as line 1: the records before the
             # bad one are exactly the data lines before that line.
-            before = ColumnarTable.from_csv_chunk(plan.schema, header, lines[: error.line - 2])
+            before = Table.from_csv_chunk(plan.schema, header, lines[: error.line - 2])
             _leaf_counts(plan, before, header, lines)
             raise
     with _stage_span("protect.pass1.count", rows=len(table)):
@@ -477,7 +475,7 @@ def protect_raw_chunk(plan: ProtectPlan, header: str, lines: list[str]) -> Prote
     )
 
     with _stage_span("protect.parse", lines=len(lines)):
-        parsed = ColumnarTable.from_csv_chunk(schema, header, lines)
+        parsed = Table.from_csv_chunk(schema, header, lines)
     table = rewrite_table(parsed, schema, encryptor, ultimate)
     binned = BinnedTable(table=table, identifying_columns=plan.identifying_columns, **metadata)
     embedding = _worker_watermarker(plan.spec).embed(binned, Mark.from_string(plan.mark_bits))
@@ -535,7 +533,7 @@ def dispute_raw_chunk(plan: DisputePlan, header: str, lines: list[str]) -> tuple
     order, for the executor to merge in chunk order.
     """
     with _stage_span("dispute.parse", lines=len(lines)):
-        table = ColumnarTable.from_csv_chunk(plan.schema, header, lines)
+        table = Table.from_csv_chunk(plan.schema, header, lines)
     binned = BinnedTable(table=table, **plan.metadata)
     return tuple(
         plan.registry.collect_claim_evidence(binned, claim, watermarker=_worker_watermarker(spec))

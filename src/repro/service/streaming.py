@@ -20,10 +20,9 @@ import csv
 import io
 from typing import Iterable, Iterator, Mapping
 
-from repro.relational.columnar import ColumnarTable, CsvParsePlan
 from repro.relational.io import iter_csv_rows, write_csv_rows
 from repro.relational.schema import TableSchema
-from repro.relational.table import Row, Table
+from repro.relational.table import CsvParsePlan, Row, Table
 from repro.telemetry.trace import span as _stage_span
 
 __all__ = [
@@ -56,11 +55,9 @@ def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_
     so processing chunk tables in file order is exactly equivalent to
     processing one full table.
 
-    Chunks are :class:`~repro.relational.columnar.ColumnarTable` objects: the
-    cells go straight from the CSV reader into typed column buffers (same
-    parse semantics as ``csv.DictReader`` + ``parse_row``, asserted by the
-    columnar equivalence suite), and every downstream per-row computation
-    runs on its per-column fast path.
+    The cells go straight from the CSV reader into each chunk's typed column
+    buffers, with the parse semantics of ``csv.DictReader`` + ``parse_row``
+    (asserted by ``tests/relational/test_columnar.py``).
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -71,7 +68,7 @@ def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_
             return
         plan = CsvParsePlan(fieldnames, schema)
         while True:
-            chunk = ColumnarTable(schema)
+            chunk = Table(schema)
             parsed = plan.extend_table(chunk, reader, limit=chunk_size)
             if parsed:
                 yield chunk
@@ -146,29 +143,21 @@ def write_rows(path: str, schema: TableSchema, rows: Iterable[Mapping[str, objec
     return write_csv_rows(path, schema, rows)
 
 
-def render_csv_rows(schema: TableSchema, rows: Iterable[Mapping[str, object]]) -> str:
-    """*rows* rendered exactly as :class:`RowWriter` emits them (no header).
+def render_csv_rows(schema: TableSchema, table: Table) -> str:
+    """*table*'s rows rendered exactly as :class:`RowWriter` emits them (no header).
 
     The single source of the emit dialect for code that serialises away from
     the output file — protect pool workers render their chunk with this, the
     executor splices the text through :meth:`RowWriter.write_text`, and
     :meth:`RowWriter.write_table` itself goes through here, so the three can
-    never drift apart byte-wise.
+    never drift apart byte-wise.  One positional ``writerows`` over the
+    zipped column buffers: ``csv.DictWriter.writerow`` reduces to exactly
+    this write for rows with the schema's fieldnames.
     """
     names = schema.column_names
+    columns = table.column_sequences(names)
     buffer = io.StringIO()
-    if isinstance(rows, Table):
-        columns = rows.column_sequences(names)
-        if columns is not None:
-            # Columnar fast path: one positional writerows over zipped column
-            # buffers.  ``csv.DictWriter.writerow`` reduces to exactly this
-            # positional write for dicts with the exact fieldnames, so the
-            # bytes are identical to the dict path below.
-            csv.writer(buffer).writerows(zip(*(columns[name] for name in names)))
-            return buffer.getvalue()
-    writer = csv.DictWriter(buffer, fieldnames=names)
-    for row in rows:
-        writer.writerow({name: row[name] for name in names})
+    csv.writer(buffer).writerows(zip(*(columns[name] for name in names)))
     return buffer.getvalue()
 
 

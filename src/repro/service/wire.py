@@ -217,10 +217,4 @@ def table_to_csv_lines(table: Table) -> tuple[str, list[str]]:
 
     header = emit(names)
     columns = table.column_sequences(names)
-    if columns is not None:
-        # Columnar fast path: zip the column buffers instead of materialising
-        # a row view per line; the written values are identical.
-        lines = [emit(values) for values in zip(*(columns[name] for name in names))]
-    else:
-        lines = [emit([row[name] for name in names]) for row in table]
-    return header, lines
+    return header, [emit(values) for values in zip(*(columns[name] for name in names))]

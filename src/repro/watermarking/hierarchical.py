@@ -533,19 +533,14 @@ class HierarchicalWatermarker:
 
         table = binned.table
         idents = binned.ident_values()
-        # On the columnar substrate read the cells straight from the column
-        # buffers; the row store keeps its row-dict path.  The values read are
-        # identical either way, so the votes stay bit-identical.
         buffers = table.column_sequences(columns)
         for index, coords in enumerate(self._engine.tuple_coordinates(idents, columns, wmd_length)):
             if coords is None:
                 continue
             tuples_selected += 1
-            row = table[index] if buffers is None else None
             for column in columns:
                 front = frontiers[column]
-                cell = buffers[column][index] if buffers is not None else row[column]
-                node = front.resolve_cell(cell)
+                node = front.resolve_cell(buffers[column][index])
                 if node is None:
                     continue
                 bits, weights = front.read_levels(node)

@@ -248,14 +248,21 @@ class TestVaultTokenAndRunnerCLI:
         main(["vault", "init", vault, "--k", "10", "--eta", "20"])
         main(["protect", raw_csv, protected_csv, "--vault", vault, "--dataset", "d"])
         capsys.readouterr()
-        exit_code = main(
-            ["detect", protected_csv, "--vault", vault, "--dataset", "d",
-             "--workers", "2", "--runner", "process", "--json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert exit_code == 0
-        assert payload["runner"] == "process"
-        assert payload["mark_loss"] == 0.0 and payload["ok"] is True
+
+        def detect(runner: str) -> tuple[int, dict]:
+            exit_code = main(
+                ["detect", protected_csv, "--vault", vault, "--dataset", "d",
+                 "--workers", "2", "--runner", runner, "--json"]
+            )
+            return exit_code, json.loads(capsys.readouterr().out)
+
+        process_exit, process = detect("process")
+        thread_exit, thread = detect("thread")
+        assert process.pop("runner") == "process" and thread.pop("runner") == "thread"
+        assert process == thread and process_exit == thread_exit
+        # The vault draws a fresh key, and on 800 rows a mark bit now and then
+        # gets no votes; the verdict at the default --max-loss still holds.
+        assert process["ok"] is True and process_exit == 0
 
 
 class TestExplicitModeRunnerRejected:

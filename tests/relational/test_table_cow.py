@@ -33,18 +33,20 @@ def table(schema):
 
 
 class TestLazyCopy:
-    def test_shares_row_dicts_until_mutation(self, table):
+    def test_equal_until_mutation_then_isolated(self, table):
         twin = table.lazy_copy()
         assert twin == table
-        assert all(a is b for a, b in zip(table.rows, twin.rows))
+        twin.mutable_row(5)["age"] = -1
+        assert twin != table
+        assert table[5]["age"] == 25
 
     def test_mutable_row_isolates_the_copy(self, table):
         twin = table.lazy_copy()
         twin.mutable_row(3)["ward"] = "Oncology"
         assert twin[3]["ward"] == "Oncology"
         assert table[3]["ward"] != "Oncology"
-        # Untouched rows remain shared.
-        assert table[4] is twin[4]
+        # Untouched rows keep their values in both tables.
+        assert [table[i] for i in range(10) if i != 3] == [twin[i] for i in range(10) if i != 3]
 
     def test_mutation_through_the_source_is_isolated_too(self, table):
         twin = table.lazy_copy()
@@ -83,8 +85,15 @@ class TestLazyCopy:
         assert first[0]["ward"] != "Oncology"
         assert table[0]["ward"] != "Oncology"
 
-    def test_mutable_row_on_owned_table_returns_same_dict(self, table):
-        assert table.mutable_row(2) is table[2]
+    def test_slice_view_isolates(self, table):
+        view = table.slice_view(2, 5)
+        assert len(view) == 3 and view[0] == table[2]
+        view.mutable_row(0)["age"] = -1
+        assert table[2]["age"] != -1
+
+    def test_mutable_row_on_owned_table_writes_in_place(self, table):
+        table.mutable_row(2)["age"] = 77
+        assert table[2]["age"] == 77
 
     def test_deep_copy_still_isolates_everything(self, table):
         deep = table.copy()

@@ -12,6 +12,7 @@ from repro.attacks.addition import SubsetAdditionAttack
 from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import SubsetDeletionAttack
 from repro.binning.binner import BinnedTable
+from repro.relational.table import Table
 from repro.service.executor import ShardExecutor
 from repro.watermarking.mark import mark_loss
 
@@ -32,11 +33,8 @@ def detect_on(runner_workers, watermarker, binned, mark_length):
 
 
 def concatenate(first: BinnedTable, second: BinnedTable) -> BinnedTable:
-    """Append *second*'s rows after *first*'s, sharing metadata and row dicts."""
-    table_cls = type(first.table)
-    combined = table_cls.from_validated_rows(
-        first.table.schema, list(first.table.rows) + list(second.table.rows)
-    )
+    """Append *second*'s rows after *first*'s, sharing metadata."""
+    combined = Table.concat(first.table.schema, (first.table, second.table))
     return BinnedTable(
         table=combined,
         trees=first.trees,
