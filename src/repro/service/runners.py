@@ -25,10 +25,11 @@ Three implementations, plus the default that picks between two of them:
   only small :class:`DetectionVotes` travel back, never rows.
 * :class:`RemoteRunner` — the multi-machine step: raw CSV chunks are POSTed
   to a fleet of ``repro serve`` workers (``POST /internal/detect-votes``, see
-  :mod:`repro.service.wire` for the JSON shapes) round-robin with failover
-  and bounded retries; each response carries that chunk's serialized
-  :class:`DetectionVotes`, merged locally exactly like the other runners' —
-  which is what keeps a fleet detect bit-identical to a serial one.
+  :mod:`repro.service.wire` for the JSON shapes), each to the least-busy
+  worker, with failover and bounded retries; each response carries that
+  chunk's serialized :class:`DetectionVotes`, merged locally exactly like
+  the other runners' — which is what keeps a fleet detect bit-identical to
+  a serial one.
 * :class:`DefaultRunner` — what ``runner=None`` resolves to: the process
   runner for every raw-CSV map, run inline (no pool) for a one-chunk input or
   one worker, and the thread runner for in-memory shards.
@@ -878,11 +879,15 @@ DEFAULT_FLEET_TIMEOUT = 30.0
 class _FleetCall:
     """Per-``collect*``-call failover state: one POST per chunk, fleet-wide retries.
 
-    Chunk *index* starts at its round-robin worker (``index % n``) and walks
-    the fleet from there.  Transport failures and 5xx responses mark the
-    worker and move on; 4xx responses raise immediately — an auth or
-    wire-format problem will be refused identically by every worker, so
-    failing over would only repeat it.  Workers with
+    Chunk *index* goes to the worker with the fewest POSTs in flight, ties
+    broken round-robin from ``index % n``, and fails over to the least-busy
+    worker it has not tried yet.  Picking by load caps a healthy fleet's
+    concurrent POSTs per worker — hence its client's keep-alive connections
+    — at ``ceil(max_workers / n)``; plain ``index % n`` could stack a
+    window's same-residue chunks on one worker.  Transport failures and 5xx
+    responses mark the worker and move on; 4xx responses raise immediately
+    — an auth or wire-format problem will be refused identically by every
+    worker, so failing over would only repeat it.  Workers with
     ``_DEPRIORITISE_AFTER``-plus consecutive failures are skipped on the
     first pass (don't pay a connect timeout per chunk for a dead box) but
     retried on later passes, so a recovered worker rejoins without restart.
@@ -898,6 +903,7 @@ class _FleetCall:
         self._attempts = max(1, attempts)
         self._lock = threading.Lock()
         self._failures = [0] * len(self._workers)
+        self._in_flight = [0] * len(self._workers)
         # Trace scope of the submitting thread: POSTs run on pool threads, so
         # the coordinator's trace id travels explicitly (request headers out,
         # worker spans ingested from the response).
@@ -911,13 +917,29 @@ class _FleetCall:
             headers[PARENT_HEADER] = self._context.parent_id
         return headers
 
-    def _consecutive_failures(self, slot: int) -> int:
-        with self._lock:
-            return self._failures[slot]
-
     def _record(self, slot: int, *, failed: bool) -> None:
         with self._lock:
             self._failures[slot] = self._failures[slot] + 1 if failed else 0
+
+    def _claim(self, index: int, tried: set[int], *, skip_failing: bool) -> int | None:
+        """The least-busy untried worker for chunk *index*, counted in flight.
+
+        Choice and count happen under one lock, so concurrent posts never
+        both see the same worker as the idle one.
+        """
+        n = len(self._workers)
+        with self._lock:
+            candidates = [
+                slot
+                for slot in range(n)
+                if slot not in tried
+                and not (skip_failing and self._failures[slot] >= _DEPRIORITISE_AFTER)
+            ]
+            if not candidates:
+                return None
+            slot = min(candidates, key=lambda s: (self._in_flight[s], (s - index) % n))
+            self._in_flight[slot] += 1
+            return slot
 
     def post(self, index: int, payload: dict) -> dict:
         import http.client as _http_client
@@ -927,10 +949,12 @@ class _FleetCall:
         n = len(self._workers)
         errors: list[str] = []
         for attempt in range(self._attempts):
-            for offset in range(n):
-                slot = (index + offset) % n
-                if attempt == 0 and self._consecutive_failures(slot) >= _DEPRIORITISE_AFTER:
-                    continue
+            tried: set[int] = set()
+            while True:
+                slot = self._claim(index, tried, skip_failing=attempt == 0)
+                if slot is None:
+                    break
+                tried.add(slot)
                 url, client = self._workers[slot]
                 try:
                     with _trace_adopt(self._context):
@@ -955,6 +979,9 @@ class _FleetCall:
                     if self._context is not None and self._context.tracer is not None:
                         self._context.tracer.ingest(response.get("spans") or ())
                     return response
+                finally:
+                    with self._lock:
+                        self._in_flight[slot] -= 1
         raise FleetError(
             f"all {n} remote worker(s) failed chunk {index} "
             f"after {self._attempts} attempt(s): " + "; ".join(errors[-n:])
@@ -975,9 +1002,10 @@ class RemoteRunner(ShardRunner):
     the same bearer-token hop the rest of the HTTP surface uses (workers
     gate the endpoint behind their ``--admin-token``; pass it as *token*).
 
-    ``max_workers`` bounds the chunks in flight (concurrent POSTs); failures
-    fail over round-robin with bounded retries (:class:`_FleetCall`), and a
-    fleet with no live workers raises :class:`FleetError`.
+    ``max_workers`` bounds the chunks in flight (concurrent POSTs), each sent
+    to the least-busy worker; failures fail over with bounded retries
+    (:class:`_FleetCall`), and a fleet with no live workers raises
+    :class:`FleetError`.
     """
 
     name = "remote"

@@ -6,6 +6,7 @@ from repro.attacks.addition import SubsetAdditionAttack
 from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import DeletionMode, SubsetDeletionAttack
 from repro.attacks.generalization_attack import GeneralizationAttack
+from repro.relational.query import in_range
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,18 @@ class TestSubsetDeletion:
         assert deleted == result.rows_touched
         assert 0.25 * len(watermarked.table) <= deleted <= 0.55 * len(watermarked.table)
         assert result.details["ranges"]
+
+    def test_range_mode_deletes_exactly_what_its_sql_ranges_select(self, watermarked):
+        """Replaying ``DELETE ... WHERE ident > l AND ident < u`` per range gives the same table."""
+        result = SubsetDeletionAttack(0.4, seed=2, mode=DeletionMode.IDENT_RANGES).run(watermarked)
+        ident = watermarked.identifying_columns[0]
+        replay = watermarked.table.copy()
+        replayed = sum(
+            replay.delete_where(in_range(ident, low, high)) for low, high in result.details["ranges"]
+        )
+        assert replayed == result.rows_touched == result.details["deleted"]
+        assert replay == result.attacked.table
+        assert len(watermarked.table) == len(result.attacked.table) + replayed
 
     def test_zero_fraction_is_noop(self, watermarked):
         result = SubsetDeletionAttack(0.0, seed=3).run(watermarked)

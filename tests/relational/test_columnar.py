@@ -37,7 +37,7 @@ from repro.crypto.cipher import FieldEncryptor
 from repro.relational.columnar import ColumnarTable
 from repro.relational.io import CsvRecordError, iter_csv_rows, parse_row, write_csv_rows
 from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
-from repro.relational.table import Table, TypedColumn
+from repro.relational.table import Table, TypedColumn, chunk_record_line
 from repro.service.executor import ShardExecutor
 from repro.service.runners import (
     ProtectPlan,
@@ -425,6 +425,97 @@ class TestTableApi:
         assert pickle.loads(pickle.dumps(table)) == table
 
 
+class TestTableBuilders:
+    """Constructors, copies and bulk edits: every result owns its buffers."""
+
+    def test_concat_keeps_row_order_and_copies_the_buffers(self, table):
+        first, second = table.slice_view(0, 4), table.slice_view(4, 10)
+        merged = Table.concat(SCHEMA, [first, second])
+        assert _typed(merged) == _typed(ROWS)
+        merged.mutable_row(0)["age"] = -1
+        merged.set_cells("ward", [9], ["Oncology"])
+        assert first[0]["age"] == 20 and second[5]["ward"] == "Cardiology"
+        assert _typed(table) == _typed(ROWS)
+
+    def test_concat_of_no_tables_is_empty(self):
+        empty = Table.concat(SCHEMA, [])
+        assert len(empty) == 0 and empty == Table(SCHEMA)
+        empty.insert(ROWS[0])
+        assert _typed(empty) == _typed(ROWS[:1])
+
+    def test_from_columns_adopts_typed_columns_and_rejects_ragged_input(self, table):
+        ages = TypedColumn.from_values([row["age"] for row in ROWS])
+        built = Table.from_columns(
+            SCHEMA,
+            {"id": [row["id"] for row in ROWS], "ward": [row["ward"] for row in ROWS], "age": ages},
+        )
+        assert _typed(built) == _typed(ROWS) and built == table
+        assert built.column_sequences(["age"])["age"] is ages.data
+        with pytest.raises(ValueError, match="same length"):
+            Table.from_columns(SCHEMA, {"id": ["a"], "ward": ["Trauma", "Trauma"], "age": [1]})
+
+    def test_column_sequences_are_the_live_buffers(self, table):
+        buffers = table.column_sequences(["id", "age"])
+        assert list(buffers) == ["id", "age"]
+        assert list(buffers["age"]) == table.column_values("age")
+        table.set_cells("age", [0], [99])
+        assert table.column_sequences(["age"])["age"][0] == 99
+        assert Table(SCHEMA).column_sequences(["id"]) == {"id": []}
+
+    def test_copy_is_deep_and_with_schema_revalidates(self, table):
+        deep = table.copy()
+        deep.set_cells("age", [0], [-5])
+        assert table[0]["age"] == 20
+        other = SCHEMA.replace_kind("ward", ColumnKind.OTHER)
+        rekinded = table.with_schema(other)
+        assert rekinded.schema is other and _typed(rekinded) == _typed(ROWS)
+        rekinded.mutable_row(1)["ward"] = "Oncology"
+        assert table[1]["ward"] == "Cardiology"
+        narrower = TableSchema(SCHEMA.columns[:2])
+        with pytest.raises(ValueError, match="unexpected columns"):
+            table.with_schema(narrower)
+
+    def test_select_is_isolated_from_the_source(self, table):
+        trauma = table.select(lambda row: row["ward"] == "Trauma")
+        assert _typed(trauma) == _typed(row for row in ROWS if row["ward"] == "Trauma")
+        trauma.mutable_row(0)["age"] = -1
+        trauma.delete_indices([1])
+        assert _typed(table) == _typed(ROWS)
+        assert len(table.select(lambda row: False)) == 0
+
+    def test_set_cells_on_a_lazy_copy_is_private_and_keeps_types(self, table):
+        twin = table.lazy_copy()
+        twin.set_cells("age", [1, 3], [70, 71.5])
+        assert _typed([twin[1], twin[3]], ["age"]) == [((70, int),), ((71.5, float),)]
+        assert _typed(table) == _typed(ROWS)
+        with pytest.raises(KeyError):
+            twin.set_cells("nope", [0], [1])
+
+    def test_delete_indices_out_of_range_leaves_the_table_intact(self, table):
+        twin = table.lazy_copy()
+        for bad in ([0, 10], [-1]):
+            with pytest.raises(IndexError):
+                twin.delete_indices(bad)
+        assert _typed(twin) == _typed(ROWS)
+        assert twin.delete_indices([]) == 0
+        assert twin.delete_indices([9, 0, 0]) == 2
+        assert _typed(twin) == _typed(ROWS[1:9]) and len(table) == 10
+
+    def test_row_view_behaves_like_a_mapping(self, table):
+        row = table.mutable_row(4)
+        assert row.keys() == ("id", "ward", "age") and list(row) == ["id", "ward", "age"]
+        assert len(row) == 3 and "age" in row and "nope" not in row
+        assert row.get("age") == 24 and row.get("nope", "default") == "default"
+        assert row.items() == list(ROWS[4].items()) and row.values() == list(ROWS[4].values())
+        row.update({"age": 40}, ward="Oncology")
+        assert table[4] == {**ROWS[4], "age": 40, "ward": "Oncology"}
+        with pytest.raises(KeyError):
+            row["nope"] = 1
+        detached = table[4].copy()
+        detached["age"] = 0
+        assert table[4]["age"] == 40
+
+
 # ------------------------------------------------------------------------- CSV
 class TestCsvEquivalence:
     def _roundtrip(self, text: str, tmp_path):
@@ -483,6 +574,13 @@ class TestCsvEquivalence:
             Table.from_csv(str(path), SCHEMA)
         assert (error.value.line, error.value.path) == (5, str(path))
         assert str(error.value).startswith(f"{path}, line 5: column 'age'")
+
+    def test_chunk_record_line_counts_quoted_newlines_and_blanks(self):
+        header = "id,ward,age\n"
+        lines = ['a,"Trauma\n', 'Unit",30\n', "\n", "b,Trauma,31\n"]
+        assert [chunk_record_line(header, lines, record) for record in (0, 1)] == [2, 5]
+        with pytest.raises(IndexError):
+            chunk_record_line(header, lines, 2)
 
     def test_quoted_newlines_in_cells(self, tmp_path):
         table, reference = self._roundtrip('id,ward,age\na,"Trauma\nUnit",30\n', tmp_path)

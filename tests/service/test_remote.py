@@ -240,6 +240,65 @@ class TestFailover:
         with pytest.raises(FleetError, match="after 2 attempt"):
             fleet(Stub(ConnectionRefusedError()), Stub(HTTPServiceError(502, "bad gateway"))).post(0, {})
 
+    def test_fleet_call_keeps_round_robin_on_an_idle_fleet(self):
+        from repro.service.runners import _FleetCall
+
+        class Recorder:
+            def __init__(self):
+                self.indices = []
+
+            def detect_votes(self, payload, *, headers=None):
+                self.indices.append(payload["index"])
+                return {"rows": 0}
+
+        clients = [Recorder(), Recorder(), Recorder()]
+        call = _FleetCall([(f"http://w{i}", c) for i, c in enumerate(clients)], 2)
+        for index in range(7):
+            call.post(index, {"index": index})
+        assert [client.indices for client in clients] == [[0, 3, 6], [1, 4], [2, 5]]
+
+    def test_fleet_call_spreads_concurrent_chunks_by_load(self):
+        """Chunks 0, 2, 4, 6 share a residue but never stack on one worker.
+
+        Each worker's concurrent POSTs are what its keep-alive client opens
+        connections for, so this is the bound behind the fleet's connection
+        count.
+        """
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.service.runners import _FleetCall
+
+        release = threading.Event()
+
+        class Blocking:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.active = 0
+                self.peak = 0
+
+            def detect_votes(self, payload, *, headers=None):
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                release.wait(10)
+                with self.lock:
+                    self.active -= 1
+                return {"index": payload["index"]}
+
+        clients = [Blocking(), Blocking()]
+        call = _FleetCall([(f"http://w{i}", c) for i, c in enumerate(clients)], 2)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(call.post, index, {"index": index}) for index in (0, 2, 4, 6)]
+            deadline = time.monotonic() + 10
+            while sum(client.active for client in clients) < 4 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            release.set()
+            results = [future.result() for future in futures]
+        assert results == [{"index": index} for index in (0, 2, 4, 6)]
+        assert [client.peak for client in clients] == [2, 2]
+
 
 class TestFleetAuth:
     """The coordinator->worker hop honours the workers' admin (fleet) token."""
