@@ -34,93 +34,58 @@ Quickstart::
 
 See ``examples/`` for end-to-end scenarios and ``benchmarks/`` for the
 reproduction of every table and figure of the paper's evaluation.
+
+Every package re-exports its names lazily (:mod:`repro._exports`): a bare
+``import repro`` loads no sub-package, and each name loads its defining
+module on first use.
 """
 
-from repro.binning import (
-    BinnedTable,
-    BinningAgent,
-    BinningError,
-    BinningResult,
-    DataflyBinner,
-    Generalization,
-    KAnonymitySpec,
-    MultiColumnGeneralization,
-    NotBinnableError,
-)
-from repro.binning.kanonymity import EnforcementMode
-from repro.datagen import MedicalDataGenerator, generate_medical_table
-from repro.dht import DomainHierarchyTree, Interval, binary_numeric_tree, from_nested_mapping
-from repro.experiments import ExperimentConfig, build_workload
-from repro.framework import (
-    ProtectedData,
-    ProtectionFramework,
-    seamlessness_report,
-    watermarking_information_loss,
-)
-from repro.metrics import InformationLossBounds, UsageMetrics
-from repro.ontology import standard_ontology
-from repro.relational import Column, ColumnKind, ColumnType, Table, TableSchema
-from repro.relational.schema import medical_schema
-from repro.watermarking import (
-    HierarchicalWatermarker,
-    LSBWatermarker,
-    Mark,
-    OwnershipClaim,
-    OwnershipRegistry,
-    SingleLevelWatermarker,
-    WatermarkKey,
-    mark_loss,
-)
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # relational table
-    "Table",
-    "TableSchema",
-    "Column",
-    "ColumnKind",
-    "ColumnType",
-    "medical_schema",
-    # domain hierarchy trees and ontologies
-    "DomainHierarchyTree",
-    "Interval",
-    "from_nested_mapping",
-    "binary_numeric_tree",
-    "standard_ontology",
-    # data generation
-    "MedicalDataGenerator",
-    "generate_medical_table",
-    # metrics
-    "UsageMetrics",
-    "InformationLossBounds",
-    # binning
-    "KAnonymitySpec",
-    "EnforcementMode",
-    "BinningAgent",
-    "BinningResult",
-    "BinnedTable",
-    "Generalization",
-    "MultiColumnGeneralization",
-    "DataflyBinner",
-    "BinningError",
-    "NotBinnableError",
-    # watermarking
-    "WatermarkKey",
-    "Mark",
-    "mark_loss",
-    "HierarchicalWatermarker",
-    "SingleLevelWatermarker",
-    "LSBWatermarker",
-    "OwnershipRegistry",
-    "OwnershipClaim",
-    # framework
-    "ProtectionFramework",
-    "ProtectedData",
-    "seamlessness_report",
-    "watermarking_information_loss",
-    # experiments
-    "ExperimentConfig",
-    "build_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Table": ".relational",
+        "TableSchema": ".relational",
+        "Column": ".relational",
+        "ColumnKind": ".relational",
+        "ColumnType": ".relational",
+        "medical_schema": ".relational.schema",
+        "DomainHierarchyTree": ".dht",
+        "Interval": ".dht",
+        "from_nested_mapping": ".dht",
+        "binary_numeric_tree": ".dht",
+        "standard_ontology": ".ontology",
+        "MedicalDataGenerator": ".datagen",
+        "generate_medical_table": ".datagen",
+        "UsageMetrics": ".metrics",
+        "InformationLossBounds": ".metrics",
+        "KAnonymitySpec": ".binning",
+        "EnforcementMode": ".binning.kanonymity",
+        "BinningAgent": ".binning",
+        "BinningResult": ".binning",
+        "BinnedTable": ".binning",
+        "Generalization": ".binning",
+        "MultiColumnGeneralization": ".binning",
+        "DataflyBinner": ".binning",
+        "BinningError": ".binning",
+        "NotBinnableError": ".binning",
+        "WatermarkKey": ".watermarking",
+        "Mark": ".watermarking",
+        "mark_loss": ".watermarking",
+        "HierarchicalWatermarker": ".watermarking",
+        "SingleLevelWatermarker": ".watermarking",
+        "LSBWatermarker": ".watermarking",
+        "OwnershipRegistry": ".watermarking",
+        "OwnershipClaim": ".watermarking",
+        "ProtectionFramework": ".framework",
+        "ProtectedData": ".framework",
+        "seamlessness_report": ".framework",
+        "watermarking_information_loss": ".framework",
+        "ExperimentConfig": ".experiments",
+        "build_workload": ".experiments",
+    },
+)
+__all__.insert(0, "__version__")

@@ -16,22 +16,17 @@ confuse the ownership resolution:
   subtractive (Attack 2) rightful-ownership attacks (Section 5.4).
 """
 
-from repro.attacks.base import AttackResult
-from repro.attacks.alteration import SubsetAlterationAttack
-from repro.attacks.addition import SubsetAdditionAttack
-from repro.attacks.deletion import SubsetDeletionAttack
-from repro.attacks.generalization_attack import GeneralizationAttack
-from repro.attacks.ownership_attacks import (
-    AdditiveMarkAttack,
-    SubtractiveMarkAttack,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AttackResult",
-    "SubsetAlterationAttack",
-    "SubsetAdditionAttack",
-    "SubsetDeletionAttack",
-    "GeneralizationAttack",
-    "AdditiveMarkAttack",
-    "SubtractiveMarkAttack",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "AttackResult": ".base",
+        "SubsetAlterationAttack": ".alteration",
+        "SubsetAdditionAttack": ".addition",
+        "SubsetDeletionAttack": ".deletion",
+        "GeneralizationAttack": ".generalization_attack",
+        "AdditiveMarkAttack": ".ownership_attacks",
+        "SubtractiveMarkAttack": ".ownership_attacks",
+    },
+)

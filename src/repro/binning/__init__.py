@@ -17,35 +17,26 @@ individuals.  Its pieces:
   paper's downward approach.
 """
 
-from repro.binning.errors import BinningError, NotBinnableError
-from repro.binning.generalization import Generalization, MultiColumnGeneralization
-from repro.binning.kanonymity import (
-    ColumnIndex,
-    KAnonymitySpec,
-    bin_sizes,
-    is_k_anonymous,
-    joint_bin_sizes,
-)
-from repro.binning.mono import gen_min_nodes
-from repro.binning.multi import allowable_generalizations, gen_ultimate_nodes
-from repro.binning.binner import BinnedTable, BinningAgent, BinningResult
-from repro.binning.baseline_datafly import DataflyBinner
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BinningError",
-    "NotBinnableError",
-    "Generalization",
-    "MultiColumnGeneralization",
-    "KAnonymitySpec",
-    "ColumnIndex",
-    "bin_sizes",
-    "joint_bin_sizes",
-    "is_k_anonymous",
-    "gen_min_nodes",
-    "allowable_generalizations",
-    "gen_ultimate_nodes",
-    "BinningAgent",
-    "BinningResult",
-    "BinnedTable",
-    "DataflyBinner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "BinningError": ".errors",
+        "NotBinnableError": ".errors",
+        "Generalization": ".generalization",
+        "MultiColumnGeneralization": ".generalization",
+        "KAnonymitySpec": ".kanonymity",
+        "ColumnIndex": ".kanonymity",
+        "bin_sizes": ".kanonymity",
+        "joint_bin_sizes": ".kanonymity",
+        "is_k_anonymous": ".kanonymity",
+        "gen_min_nodes": ".mono",
+        "allowable_generalizations": ".multi",
+        "gen_ultimate_nodes": ".multi",
+        "BinningAgent": ".binner",
+        "BinningResult": ".binner",
+        "BinnedTable": ".binner",
+        "DataflyBinner": ".baseline_datafly",
+    },
+)

@@ -47,34 +47,30 @@ import argparse
 import json
 import sys
 
-from repro.binning.binner import BinnedTable
-from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
-from repro.framework.pipeline import ProtectionFramework
-from repro.metrics.usage_metrics import UsageMetrics
-from repro.ontology.registry import standard_ontology
-from repro.relational.schema import medical_schema
-from repro.relational.table import Table
-from repro.service.api import DEFAULT_TENANT, ProtectionService, dataset_id_for, suspect_view
-from repro.service.executor import ShardExecutor
-from repro.service.http.app import ProtectionApp
-from repro.service.http.client import HTTPServiceError, ServiceClient
-from repro.service.http.prefork import (
+from repro.service.audit import AuditChainError
+from repro.service.options import (
     DEFAULT_HANDLER_THREADS,
     DEFAULT_KEEPALIVE_SECONDS,
     DEFAULT_MAX_REQUESTS_PER_CONNECTION,
     DEFAULT_QUEUE_LIMIT,
-    PreForkServer,
-    RateLimiter,
+    REMOTE_RUNNER_NAME,
+    RUNNER_NAMES,
+    FleetError,
+    HTTPServiceError,
 )
 from repro.service.reports import DEFAULT_MAX_LOSS, detect_report, dispute_report, error_payload
-from repro.service.runners import REMOTE_RUNNER_NAME, RUNNER_NAMES, FleetError, RemoteRunner
-from repro.service.audit import AuditChainError
-from repro.service.vault import KeyVault, VaultError, migrate_vault
-from repro.telemetry.log import configure_json_logging
+from repro.service.vault import (
+    DEFAULT_TENANT,
+    KeyVault,
+    VaultError,
+    dataset_id_for,
+    migrate_vault,
+)
 from repro.telemetry.trace import Tracer, activate as _trace_activate, format_span_tree
-from repro.watermarking.ecc import resolve_code
 from repro.watermarking.mark import Mark, mark_loss
 
+# Everything else is imported by the command that runs it: a cold process
+# loads only its verb's code, and the vault verbs never load the data path.
 __all__ = ["main", "build_parser"]
 
 #: Exit statuses shared by every subcommand and both transports.
@@ -95,7 +91,12 @@ PARAM_DEFAULTS = {
 }
 
 
-def _framework(args: argparse.Namespace) -> ProtectionFramework:
+def _framework(args: argparse.Namespace):
+    from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
+    from repro.framework.pipeline import ProtectionFramework
+    from repro.metrics.usage_metrics import UsageMetrics
+    from repro.ontology.registry import standard_ontology
+
     trees = dict(standard_ontology().items())
     return ProtectionFramework(
         trees,
@@ -110,17 +111,25 @@ def _framework(args: argparse.Namespace) -> ProtectionFramework:
     )
 
 
-def _load_raw_table(path: str) -> Table:
+def _load_raw_table(path: str):
+    from repro.relational.schema import medical_schema
+    from repro.relational.table import Table
+
     return Table.from_csv(path, medical_schema())
 
 
-def _load_protected_table(path: str, k: int, metrics_depth: int = 1) -> BinnedTable:
+def _load_protected_table(path: str, k: int, metrics_depth: int = 1):
     """Rebuild a :class:`BinnedTable` view of an outsourced CSV for detection.
 
     Parsing (including the ``[lower,upper)`` interval round trip) lives in
     :mod:`repro.relational.io`; the frontier stand-ins for a table found in
     the wild live in :func:`repro.service.api.suspect_view`.
     """
+    from repro.ontology.registry import standard_ontology
+    from repro.relational.schema import medical_schema
+    from repro.relational.table import Table
+    from repro.service.api import suspect_view
+
     schema = medical_schema()
     table = Table.from_csv(path, schema)
     return suspect_view(
@@ -152,11 +161,15 @@ def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> No
                 print("  " + line)
 
 
-def _service(args: argparse.Namespace) -> ProtectionService:
+def _service(args: argparse.Namespace):
+    from repro.service.api import ProtectionService
+
     return ProtectionService(KeyVault(args.vault))
 
 
-def _client(args: argparse.Namespace) -> ServiceClient:
+def _client(args: argparse.Namespace):
+    from repro.service.http.client import ServiceClient
+
     return ServiceClient(args.url, getattr(args, "token", None))
 
 
@@ -170,6 +183,8 @@ def _runner_for(args: argparse.Namespace):
     """
     if getattr(args, "runner", None) != REMOTE_RUNNER_NAME:
         return args.runner
+    from repro.service.runners import RemoteRunner
+
     return RemoteRunner(
         args.worker_urls or [], token=args.worker_token, timeout=args.worker_timeout
     )
@@ -178,10 +193,11 @@ def _runner_for(args: argparse.Namespace):
 # ------------------------------------------------------------------- commands
 def _cmd_vault_init(args: argparse.Namespace) -> int:
     vault = KeyVault.init(args.path)
-    # Register through the service facade so the very first tenant lands on
-    # the audit chain as record 0, like every later registration.
-    record = ProtectionService(vault).register_tenant(
+    # The very first tenant lands on the audit chain as record 0, like every
+    # later registration.
+    record = vault.register_tenant(
         args.tenant,
+        audit=True,
         encryption_key=args.encryption_key,
         watermark_secret=args.watermark_secret,
         eta=args.eta,
@@ -257,7 +273,7 @@ def _cmd_vault_status(args: argparse.Namespace) -> int:
     if args.url:
         status = _client(args).status(args.tenant)
     else:
-        status = ProtectionService(KeyVault(args.path)).status()
+        status = KeyVault(args.path).status()
     if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return EXIT_OK
@@ -474,6 +490,14 @@ def _cmd_dispute(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    # The whole request path is imported here, before PreForkServer forks, so
+    # every worker starts warm instead of compiling it on its first request.
+    from repro.service.api import ProtectionService
+    from repro.service.executor import ShardExecutor
+    from repro.service.http.app import ProtectionApp
+    from repro.service.http.prefork import PreForkServer, RateLimiter
+    from repro.telemetry.log import configure_json_logging
+
     runner = _runner_for(args)
     executor = ShardExecutor(args.workers, runner=runner)
     service = ProtectionService(KeyVault(args.vault), executor=executor)
@@ -829,6 +853,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         )
     if args.command in ("protect", "detect"):
         if args.code is not None:
+            from repro.watermarking.ecc import resolve_code
+
             try:
                 resolve_code(args.code)
             except ValueError as error:

@@ -16,39 +16,25 @@ requires the cipher to be a deterministic, invertible, keyed pseudorandom
 permutation, which the Feistel construction provides.
 """
 
-from repro.crypto.batch import (
-    KeyedHashStream,
-    ScalarWatermarkEngine,
-    TupleCoordinates,
-    TupleHasher,
-    WatermarkHashEngine,
-    make_engine,
-)
-from repro.crypto.cipher import FeistelCipher, FieldEncryptor
-from repro.crypto.hashing import (
-    derive_subkey,
-    keyed_hash,
-    keyed_hash_bytes,
-    mark_from_statistic,
-    one_way_bits,
-    serialise_value,
-)
-from repro.crypto.prng import DeterministicPRNG
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FeistelCipher",
-    "FieldEncryptor",
-    "DeterministicPRNG",
-    "keyed_hash",
-    "keyed_hash_bytes",
-    "serialise_value",
-    "derive_subkey",
-    "one_way_bits",
-    "mark_from_statistic",
-    "KeyedHashStream",
-    "TupleHasher",
-    "TupleCoordinates",
-    "WatermarkHashEngine",
-    "ScalarWatermarkEngine",
-    "make_engine",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "FeistelCipher": ".cipher",
+        "FieldEncryptor": ".cipher",
+        "DeterministicPRNG": ".prng",
+        "keyed_hash": ".hashing",
+        "keyed_hash_bytes": ".hashing",
+        "serialise_value": ".hashing",
+        "derive_subkey": ".hashing",
+        "one_way_bits": ".hashing",
+        "mark_from_statistic": ".hashing",
+        "KeyedHashStream": ".batch",
+        "TupleHasher": ".batch",
+        "TupleCoordinates": ".batch",
+        "WatermarkHashEngine": ".batch",
+        "ScalarWatermarkEngine": ".batch",
+        "make_engine": ".batch",
+    },
+)

@@ -12,15 +12,16 @@ the empirical counts, so any non-degenerate table over the same domains
 exercises exactly the code paths the paper measures.
 """
 
-from repro.datagen.distributions import AgeMixture, SkewedCategorical
-from repro.datagen.finance import FinancialDataGenerator, generate_financial_table
-from repro.datagen.medical import MedicalDataGenerator, generate_medical_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "MedicalDataGenerator",
-    "generate_medical_table",
-    "FinancialDataGenerator",
-    "generate_financial_table",
-    "SkewedCategorical",
-    "AgeMixture",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "MedicalDataGenerator": ".medical",
+        "generate_medical_table": ".medical",
+        "FinancialDataGenerator": ".finance",
+        "generate_financial_table": ".finance",
+        "SkewedCategorical": ".distributions",
+        "AgeMixture": ".distributions",
+    },
+)

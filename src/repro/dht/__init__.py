@@ -15,29 +15,20 @@ and numeric domains, and the cut-enumeration utilities used by multi-attribute
 binning.
 """
 
-from repro.dht.node import DHTNode, Interval
-from repro.dht.tree import DomainHierarchyTree
-from repro.dht.builders import (
-    binary_numeric_tree,
-    from_leaf_groups,
-    from_nested_mapping,
-)
-from repro.dht.cuts import (
-    count_cuts_between,
-    enumerate_cuts,
-    enumerate_cuts_between,
-    is_frontier_at_or_above,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "DHTNode",
-    "Interval",
-    "DomainHierarchyTree",
-    "from_nested_mapping",
-    "from_leaf_groups",
-    "binary_numeric_tree",
-    "enumerate_cuts",
-    "enumerate_cuts_between",
-    "count_cuts_between",
-    "is_frontier_at_or_above",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "DHTNode": ".node",
+        "Interval": ".node",
+        "DomainHierarchyTree": ".tree",
+        "from_nested_mapping": ".builders",
+        "from_leaf_groups": ".builders",
+        "binary_numeric_tree": ".builders",
+        "enumerate_cuts": ".cuts",
+        "enumerate_cuts_between": ".cuts",
+        "count_cuts_between": ".cuts",
+        "is_frontier_at_or_above": ".cuts",
+    },
+)

@@ -5,42 +5,34 @@ part of the framework and returns the data series the paper plots.  The
 ``benchmarks/`` suite wraps these functions with ``pytest-benchmark`` (one
 benchmark per figure), the examples reuse them for narrative output, and
 ``python -m repro.experiments`` runs the whole evaluation and prints every
-table in one go (the source of EXPERIMENTS.md).
+table in one go.
 
 The drivers take a :class:`~repro.experiments.config.ExperimentConfig` so the
 same code can run at paper scale (20 000 tuples) or at the smaller sizes used
 for quick benchmark iterations.
 """
 
-from repro.experiments.config import ExperimentConfig, ProtectedWorkload, build_workload
-from repro.experiments.fig11 import Fig11Point, run_fig11
-from repro.experiments.fig12 import Fig12Point, run_fig12a, run_fig12b, run_fig12c
-from repro.experiments.fig13 import Fig13Point, run_fig13
-from repro.experiments.fig14 import run_fig14
-from repro.experiments.ablations import (
-    run_binning_strategy_ablation,
-    run_generalization_attack_ablation,
-    run_lsb_ablation,
-    run_ownership_ablation,
-    run_seamlessness_theory_check,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "ProtectedWorkload",
-    "build_workload",
-    "run_fig11",
-    "Fig11Point",
-    "run_fig12a",
-    "run_fig12b",
-    "run_fig12c",
-    "Fig12Point",
-    "run_fig13",
-    "Fig13Point",
-    "run_fig14",
-    "run_generalization_attack_ablation",
-    "run_ownership_ablation",
-    "run_binning_strategy_ablation",
-    "run_lsb_ablation",
-    "run_seamlessness_theory_check",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ExperimentConfig": ".config",
+        "ProtectedWorkload": ".config",
+        "build_workload": ".config",
+        "run_fig11": ".fig11",
+        "Fig11Point": ".fig11",
+        "run_fig12a": ".fig12",
+        "run_fig12b": ".fig12",
+        "run_fig12c": ".fig12",
+        "Fig12Point": ".fig12",
+        "run_fig13": ".fig13",
+        "Fig13Point": ".fig13",
+        "run_fig14": ".fig14",
+        "run_generalization_attack_ablation": ".ablations",
+        "run_ownership_ablation": ".ablations",
+        "run_binning_strategy_ablation": ".ablations",
+        "run_lsb_ablation": ".ablations",
+        "run_seamlessness_theory_check": ".ablations",
+    },
+)

@@ -6,7 +6,7 @@ Usage::
 
 ``--quick`` runs at a reduced table size and with coarser sweeps so the whole
 evaluation finishes in well under a minute; the default reproduces the paper's
-20 000-tuple setting.  The output of this module is what EXPERIMENTS.md quotes.
+20 000-tuple setting.
 """
 
 from __future__ import annotations

@@ -1,24 +1,18 @@
 """The unified protection framework (Figure 2) and its seamlessness analysis."""
 
-from repro.framework.pipeline import ProtectedData, ProtectionFramework
-from repro.framework.analysis import (
-    SeamlessnessColumnReport,
-    SeamlessnessReport,
-    pr_minus,
-    pr_plus,
-    seamlessness_report,
-    suggest_epsilon,
-    watermarking_information_loss,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProtectionFramework",
-    "ProtectedData",
-    "pr_minus",
-    "pr_plus",
-    "suggest_epsilon",
-    "seamlessness_report",
-    "SeamlessnessReport",
-    "SeamlessnessColumnReport",
-    "watermarking_information_loss",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ProtectionFramework": ".pipeline",
+        "ProtectedData": ".pipeline",
+        "pr_minus": ".analysis",
+        "pr_plus": ".analysis",
+        "suggest_epsilon": ".analysis",
+        "seamlessness_report": ".analysis",
+        "SeamlessnessReport": ".analysis",
+        "SeamlessnessColumnReport": ".analysis",
+        "watermarking_information_loss": ".analysis",
+    },
+)

@@ -9,32 +9,21 @@ node, which is what enables the downward binning of Section 4.2 and provides
 the watermark bandwidth of Section 5.1.
 """
 
-from repro.metrics.information_loss import (
-    categorical_cut_loss,
-    column_information_loss,
-    leaf_counts,
-    numeric_cut_loss,
-    specificity_loss,
-    table_information_loss,
-    total_information_loss,
-)
-from repro.metrics.usage_metrics import (
-    InformationLossBounds,
-    UsageMetrics,
-    derive_maximal_nodes,
-    frontier_at_depth,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "leaf_counts",
-    "categorical_cut_loss",
-    "numeric_cut_loss",
-    "column_information_loss",
-    "table_information_loss",
-    "total_information_loss",
-    "specificity_loss",
-    "InformationLossBounds",
-    "UsageMetrics",
-    "derive_maximal_nodes",
-    "frontier_at_depth",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "leaf_counts": ".information_loss",
+        "categorical_cut_loss": ".information_loss",
+        "numeric_cut_loss": ".information_loss",
+        "column_information_loss": ".information_loss",
+        "table_information_loss": ".information_loss",
+        "total_information_loss": ".information_loss",
+        "specificity_loss": ".information_loss",
+        "InformationLossBounds": ".usage_metrics",
+        "UsageMetrics": ".usage_metrics",
+        "derive_maximal_nodes": ".usage_metrics",
+        "frontier_at_depth": ".usage_metrics",
+    },
+)

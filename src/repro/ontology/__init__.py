@@ -16,23 +16,20 @@ watermarking: both algorithms treat labels as opaque values.
 documentation and tests.
 """
 
-from repro.ontology.age import age_tree
-from repro.ontology.drugs import prescription_tree
-from repro.ontology.finance import financial_ontology, financial_schema
-from repro.ontology.geography import zip_code_tree
-from repro.ontology.icd9 import symptom_tree
-from repro.ontology.practitioners import doctor_tree
-from repro.ontology.registry import OntologyRegistry, roles_tree, standard_ontology
+from repro._exports import lazy_exports
 
-__all__ = [
-    "age_tree",
-    "zip_code_tree",
-    "doctor_tree",
-    "symptom_tree",
-    "prescription_tree",
-    "roles_tree",
-    "standard_ontology",
-    "financial_ontology",
-    "financial_schema",
-    "OntologyRegistry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "age_tree": ".age",
+        "zip_code_tree": ".geography",
+        "doctor_tree": ".practitioners",
+        "symptom_tree": ".icd9",
+        "prescription_tree": ".drugs",
+        "roles_tree": ".registry",
+        "standard_ontology": ".registry",
+        "financial_ontology": ".finance",
+        "financial_schema": ".finance",
+        "OntologyRegistry": ".registry",
+    },
+)

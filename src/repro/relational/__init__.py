@@ -17,31 +17,25 @@ exactly that, with no external dependencies, so the rest of the library can
 treat "the database" as a plain Python object.
 """
 
-from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
-from repro.relational.table import ColumnRow, ColumnStore, Row, Table, TypedColumn
-from repro.relational.query import (
-    delete_where,
-    equals,
-    group_by_count,
-    in_range,
-    project,
-    select_where,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Column",
-    "ColumnKind",
-    "ColumnType",
-    "TableSchema",
-    "Row",
-    "Table",
-    "ColumnRow",
-    "ColumnStore",
-    "TypedColumn",
-    "select_where",
-    "delete_where",
-    "project",
-    "group_by_count",
-    "equals",
-    "in_range",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Column": ".schema",
+        "ColumnKind": ".schema",
+        "ColumnType": ".schema",
+        "TableSchema": ".schema",
+        "Row": ".table",
+        "Table": ".table",
+        "ColumnRow": ".table",
+        "ColumnStore": ".table",
+        "TypedColumn": ".table",
+        "select_where": ".query",
+        "delete_where": ".query",
+        "project": ".query",
+        "group_by_count": ".query",
+        "equals": ".query",
+        "in_range": ".query",
+    },
+)

@@ -34,43 +34,32 @@ cold process:
   CLI and the HTTP bodies.
 """
 
-from repro.service.api import DetectOutcome, ProtectOutcome, ProtectionService, suspect_view
-from repro.service.audit import AuditChainError, SQLiteAuditLog
-from repro.service.backends import SQLiteRegistryBackend, VaultError
-from repro.service.executor import ShardExecutor, shard_spans
-from repro.service.runners import (
-    DefaultRunner,
-    FleetError,
-    ProcessRunner,
-    RemoteRunner,
-    ShardRunner,
-    ThreadRunner,
-    resolve_runner,
-)
-from repro.service.store import ClaimStore
-from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, migrate_vault
+from repro._exports import lazy_exports
 
-__all__ = [
-    "AuditChainError",
-    "SQLiteAuditLog",
-    "SQLiteRegistryBackend",
-    "VaultError",
-    "migrate_vault",
-    "ProtectionService",
-    "ProtectOutcome",
-    "DetectOutcome",
-    "suspect_view",
-    "ShardExecutor",
-    "shard_spans",
-    "ShardRunner",
-    "ThreadRunner",
-    "ProcessRunner",
-    "DefaultRunner",
-    "RemoteRunner",
-    "FleetError",
-    "resolve_runner",
-    "ClaimStore",
-    "KeyVault",
-    "TenantRecord",
-    "DatasetRecord",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "AuditChainError": ".audit",
+        "SQLiteAuditLog": ".audit",
+        "SQLiteRegistryBackend": ".backends",
+        "VaultError": ".backends",
+        "migrate_vault": ".vault",
+        "ProtectionService": ".api",
+        "ProtectOutcome": ".api",
+        "DetectOutcome": ".api",
+        "suspect_view": ".api",
+        "ShardExecutor": ".executor",
+        "shard_spans": ".executor",
+        "ShardRunner": ".runners",
+        "ThreadRunner": ".runners",
+        "ProcessRunner": ".runners",
+        "DefaultRunner": ".runners",
+        "RemoteRunner": ".runners",
+        "FleetError": ".runners",
+        "resolve_runner": ".runners",
+        "ClaimStore": ".store",
+        "KeyVault": ".vault",
+        "TenantRecord": ".vault",
+        "DatasetRecord": ".vault",
+    },
+)

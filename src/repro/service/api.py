@@ -40,7 +40,14 @@ from repro.service.runners import (
 )
 from repro.service.store import ClaimStore
 from repro.service.streaming import DEFAULT_CHUNK_SIZE
-from repro.service.vault import DatasetRecord, KeyVault, TenantRecord, VaultError
+from repro.service.vault import (
+    DEFAULT_TENANT,
+    DatasetRecord,
+    KeyVault,
+    TenantRecord,
+    VaultError,
+    dataset_id_for,
+)
 from repro.telemetry.trace import span as _stage_span
 from repro.watermarking.hierarchical import DetectionReport
 from repro.watermarking.mark import Mark, mark_loss
@@ -58,17 +65,6 @@ __all__ = [
     "suspect_view",
     "dataset_id_for",
 ]
-
-DEFAULT_TENANT = "owner"
-
-
-def dataset_id_for(path: str) -> str:
-    """Default dataset id: the input file's stem (``/a/b/claims.csv`` -> ``claims``)."""
-    stem = os.path.splitext(os.path.basename(path))[0]
-    if not stem:
-        raise ValueError(f"cannot derive a dataset id from path {path!r}")
-    return stem
-
 
 def suspect_view(
     table: Table,
@@ -249,19 +245,8 @@ class ProtectionService:
 
     # ----------------------------------------------------------------- tenants
     def register_tenant(self, tenant_id: str = DEFAULT_TENANT, **kwargs) -> TenantRecord:
-        """Register a tenant (generating secrets unless supplied); see the vault."""
-        record = self._vault.register_tenant(tenant_id, **kwargs)
-        # Parameters only — secrets never reach the (exportable) audit chain.
-        self._record_audit(
-            "register",
-            tenant_id,
-            eta=record.eta,
-            k=record.k,
-            mark_length=record.mark_length,
-            copies=record.copies,
-            code=record.code,
-        )
-        return record
+        """Register (and audit) a tenant, generating secrets unless supplied; see the vault."""
+        return self._vault.register_tenant(tenant_id, audit=self._audit is not None, **kwargs)
 
     def framework_for(self, tenant_id: str) -> ProtectionFramework:
         """The (cached) framework rebuilt from the tenant's vault record."""
@@ -362,16 +347,14 @@ class ProtectionService:
             input_csv,
             output_csv,
             chunk_size=chunk_size,
+            expected_rows=rows,
         )
-        if run.rows != rows:
-            raise ValueError(
-                f"pass 2 emitted {run.rows} rows but pass 1 read {rows} "
-                "(the input changed between the two streaming passes)"
-            )
         tuples_selected = run.tuples_selected
         cells_changed = run.cells_changed
 
-        # Persist the court-critical state before reporting success.
+        # Persist the court-critical state before reporting success.  The
+        # output is already in place: a crash from here on leaves a complete
+        # but unregistered file, never a registration pointing at nothing.
         self._vault.record_dataset(
             tenant_id,
             DatasetRecord(
@@ -633,35 +616,8 @@ class ProtectionService:
 
     # ------------------------------------------------------------------ status
     def status(self, tenant_id: str | None = None) -> dict:
-        """JSON-able snapshot of the vault: tenants, datasets, claimants.
-
-        Three live queries per tenant (its record, its dataset records, the
-        claimants of its datasets), so a long-running server reports datasets
-        a CLI protect just registered.
-        """
-        tenants = [tenant_id] if tenant_id is not None else self._vault.tenants()
-        out: dict = {"vault": self._vault.root, "tenants": {}}
-        for tenant in tenants:
-            record = self._vault.tenant(tenant)
-            claimants = self._claims.tenant_claimants(tenant)
-            datasets = {}
-            for dataset, stored in self._vault.dataset_records(tenant).items():
-                datasets[dataset] = {
-                    "rows": stored.rows,
-                    "mark": stored.mark_bits,
-                    "registered_statistic": stored.registered_statistic,
-                    "cells_changed": stored.cells_changed,
-                    "information_loss": stored.information_loss,
-                    "claimants": claimants.get(dataset, []),
-                }
-            out["tenants"][tenant] = {
-                "eta": record.eta,
-                "k": record.k,
-                "mark_length": record.mark_length,
-                "copies": record.copies,
-                "datasets": datasets,
-            }
-        return out
+        """JSON-able snapshot of the vault (:meth:`KeyVault.status`)."""
+        return self._vault.status(tenant_id)
 
     # ----------------------------------------------------------------- helpers
     def _build_framework(self, record: TenantRecord) -> ProtectionFramework:

@@ -267,6 +267,7 @@ class ShardExecutor:
         input_csv: str,
         output_csv: str,
         *,
+        expected_rows: int,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
     ) -> ProtectRun:
         """Pass 2 of a streamed protect: rewrite + embed + emit on the runner.
@@ -279,6 +280,11 @@ class ShardExecutor:
         empty input (header only) still writes the output header.  A runner
         that cannot carry protect (the remote fleet) is refused *before* the
         output file is created, so a refusal leaves nothing behind.
+
+        *output_csv* is replaced atomically (:class:`RowWriter`) and only
+        once every check passed: when this pass reads a different number
+        of rows than the *expected_rows* pass 1 counted, the input changed
+        between the two passes, and the old *output_csv* stays untouched.
         """
         if not self._runner.is_local:
             raise ValueError(LOCAL_ONLY_ERROR)
@@ -295,6 +301,11 @@ class ShardExecutor:
                 tuples_selected += chunk.tuples_selected
                 cells_changed += chunk.cells_changed
                 chunk_seconds.append(chunk.seconds)
+            if rows != expected_rows:
+                raise ValueError(
+                    f"pass 2 emitted {rows} rows but pass 1 read {expected_rows} "
+                    "(the input changed between the two streaming passes)"
+                )
         return ProtectRun(
             rows=rows,
             tuples_selected=tuples_selected,

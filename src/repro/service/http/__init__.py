@@ -26,19 +26,18 @@ the :class:`~repro.service.vault.KeyVault`:
   :class:`~repro.service.runners.RemoteRunner` posts chunks with.
 """
 
-from repro.service.http.app import ProtectionApp
-from repro.service.http.client import HTTPServiceError, ServiceClient
-from repro.service.http.metrics import ServiceMetrics
-from repro.service.http.prefork import HTTPWorker, PreForkServer, RateLimiter
-from repro.service.http.server import make_http_server
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ProtectionApp",
-    "ServiceClient",
-    "HTTPServiceError",
-    "ServiceMetrics",
-    "HTTPWorker",
-    "PreForkServer",
-    "RateLimiter",
-    "make_http_server",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "ProtectionApp": ".app",
+        "ServiceClient": ".client",
+        "HTTPServiceError": ".client",
+        "ServiceMetrics": ".metrics",
+        "HTTPWorker": ".prefork",
+        "PreForkServer": ".prefork",
+        "RateLimiter": ".prefork",
+        "make_http_server": ".server",
+    },
+)

@@ -33,6 +33,7 @@ from typing import Iterator, Mapping
 from urllib.parse import urlencode, urlsplit
 
 from repro.service.http.app import REPORT_HEADER, TRACE_RESPONSE_HEADER
+from repro.service.options import HTTPServiceError
 from repro.service.streaming import SPOOL_CHUNK_BYTES
 from repro.telemetry.trace import (
     PARENT_HEADER,
@@ -59,16 +60,6 @@ _STALE_ERRORS = (
     ConnectionAbortedError,
     BrokenPipeError,
 )
-
-
-class HTTPServiceError(RuntimeError):
-    """A non-2xx response from the protection frontend."""
-
-    def __init__(self, status: int, message: str, payload: dict | None = None) -> None:
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
-        self.message = message
-        self.payload = payload or {}
 
 
 def _iter_file(path: str) -> Iterator[bytes]:

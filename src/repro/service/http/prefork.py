@@ -57,6 +57,13 @@ import traceback
 from typing import Callable, Iterable, Mapping
 from urllib.parse import unquote
 
+from repro.service.options import (
+    DEFAULT_HANDLER_THREADS,
+    DEFAULT_KEEPALIVE_SECONDS,
+    DEFAULT_MAX_REQUESTS_PER_CONNECTION,
+    DEFAULT_QUEUE_LIMIT,
+)
+
 __all__ = [
     "DEFAULT_KEEPALIVE_SECONDS",
     "DEFAULT_MAX_REQUESTS_PER_CONNECTION",
@@ -67,20 +74,6 @@ __all__ = [
     "PreForkServer",
     "serve_worker_in_thread",
 ]
-
-#: Idle seconds before a kept-alive connection is closed.
-DEFAULT_KEEPALIVE_SECONDS = 75.0
-
-#: Requests served on one connection before the server closes it (bounds the
-#: damage of per-connection state leaks and rebalances REUSEPORT load).
-DEFAULT_MAX_REQUESTS_PER_CONNECTION = 1000
-
-#: Accepted-but-unhandled connections allowed to wait per worker; beyond it
-#: new arrivals are shed with ``503 Retry-After``.
-DEFAULT_QUEUE_LIMIT = 64
-
-#: Handler threads per worker — the concurrent-connection bound.
-DEFAULT_HANDLER_THREADS = 16
 
 #: Listen backlog behind the explicit admission queue.  Small on purpose:
 #: admission control lives in the queue (visible, counted, shed with 503),

@@ -9,9 +9,13 @@ assert both against the same keys.
 
 from __future__ import annotations
 
-from repro.service.api import DetectOutcome
+from typing import TYPE_CHECKING
+
 from repro.watermarking.mark import Mark, mark_loss
-from repro.watermarking.ownership import DisputeVerdict
+
+if TYPE_CHECKING:  # annotations only: the CLI imports this module before any verb runs
+    from repro.service.api import DetectOutcome
+    from repro.watermarking.ownership import DisputeVerdict
 
 __all__ = ["DEFAULT_MAX_LOSS", "detect_report", "dispute_report", "error_payload"]
 

@@ -82,6 +82,12 @@ from repro.dht.tree import DomainHierarchyTree
 from repro.relational.io import CsvRecordError
 from repro.relational.schema import TableSchema
 from repro.relational.table import Table, chunk_record_line
+from repro.service.options import (
+    REMOTE_RUNNER_NAME,
+    RUNNER_NAMES,
+    FleetError,
+    HTTPServiceError,
+)
 from repro.service.streaming import (
     DEFAULT_CHUNK_SIZE,
     iter_raw_chunks,
@@ -859,10 +865,6 @@ class DefaultRunner(ProcessRunner):
         )
 
 
-class FleetError(RuntimeError):
-    """Every worker of a remote fleet failed to serve a chunk (after retries)."""
-
-
 #: Consecutive failures after which a worker is deprioritised for new chunks.
 _DEPRIORITISE_AFTER = 3
 
@@ -944,8 +946,6 @@ class _FleetCall:
     def post(self, index: int, payload: dict) -> dict:
         import http.client as _http_client
 
-        from repro.service.http.client import HTTPServiceError
-
         n = len(self._workers)
         errors: list[str] = []
         for attempt in range(self._attempts):
@@ -1008,7 +1008,7 @@ class RemoteRunner(ShardRunner):
     :class:`FleetError`.
     """
 
-    name = "remote"
+    name = REMOTE_RUNNER_NAME
 
     def __init__(
         self,
@@ -1121,10 +1121,6 @@ class RemoteRunner(ShardRunner):
                 payloads,
                 max_workers,
             )
-
-
-RUNNER_NAMES = ("thread", "process")
-REMOTE_RUNNER_NAME = RemoteRunner.name
 
 
 def resolve_runner(runner: "str | ShardRunner | None") -> ShardRunner:

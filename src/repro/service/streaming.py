@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import secrets
 from typing import Iterable, Iterator, Mapping
 
 from repro.relational.io import iter_csv_rows, write_csv_rows
@@ -162,15 +164,22 @@ def render_csv_rows(schema: TableSchema, table: Table) -> str:
 
 
 class RowWriter:
-    """Incrementally fed CSV emitter (context manager).
+    """Incrementally fed CSV emitter (context manager) that publishes atomically.
 
     ``write_table`` appends one chunk's rows; the header is written on entry.
     Cells serialise via ``str()``, so :class:`~repro.dht.node.Interval` values
     emit the literal the readers parse back.
+
+    Rows go to a temporary file next to *path*.  A clean exit from the
+    ``with`` block fsyncs it and renames it over *path*; an exception
+    removes it.  Either way *path* holds its old contents or the complete
+    new file, never a partial one — also after a crash, which at worst
+    leaves a stray ``.*.tmp`` file beside it.
     """
 
     def __init__(self, path: str, schema: TableSchema) -> None:
         self._path = path
+        self._temp_path = None
         self._schema = schema
         self._handle = None
         self._writer = None
@@ -181,7 +190,9 @@ class RowWriter:
         return self._rows_written
 
     def __enter__(self) -> "RowWriter":
-        self._handle = open(self._path, "w", newline="", encoding="utf-8")
+        directory, name = os.path.split(os.path.abspath(self._path))
+        self._temp_path = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
+        self._handle = open(self._temp_path, "x", newline="", encoding="utf-8")
         self._writer = csv.DictWriter(self._handle, fieldnames=self._schema.column_names)
         self._writer.writeheader()
         return self
@@ -207,7 +218,14 @@ class RowWriter:
         self._rows_written += rows
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self._writer = None
+        handle, self._handle, self._writer = self._handle, None, None
+        try:
+            with handle:
+                if exc_type is None:
+                    handle.flush()
+                    os.fsync(handle.fileno())
+            if exc_type is None:
+                os.replace(self._temp_path, self._path)
+        finally:
+            if os.path.exists(self._temp_path):
+                os.unlink(self._temp_path)

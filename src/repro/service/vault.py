@@ -47,12 +47,17 @@ from repro.service.audit import AuditChainError, SQLiteAuditLog, verify_records
 from repro.service.backends import REGISTRY_FILENAME, SQLiteRegistryBackend, VaultError
 
 __all__ = [
+    "DEFAULT_TENANT",
     "TenantRecord",
     "DatasetRecord",
     "KeyVault",
     "VaultError",
+    "dataset_id_for",
     "migrate_vault",
 ]
+
+#: The tenant a command acts for when none is named.
+DEFAULT_TENANT = "owner"
 
 #: 128-bit secrets, hex-encoded, when the operator does not supply their own.
 GENERATED_SECRET_BYTES = 16
@@ -116,6 +121,14 @@ class DatasetRecord:
             raise ValueError("dataset_id must be non-empty")
         if not self.mark_bits or set(self.mark_bits) - {"0", "1"}:
             raise ValueError("mark_bits must be a non-empty 0/1 string")
+
+
+def dataset_id_for(path: str) -> str:
+    """Default dataset id: the input file's stem (``/a/b/claims.csv`` -> ``claims``)."""
+    stem = os.path.splitext(os.path.basename(path))[0]
+    if not stem:
+        raise ValueError(f"cannot derive a dataset id from path {path!r}")
+    return stem
 
 
 def _tenant_to_json(record: TenantRecord) -> dict:
@@ -198,6 +211,7 @@ class KeyVault:
         *,
         encryption_key: str | None = None,
         watermark_secret: str | None = None,
+        audit: bool = False,
         **params,
     ) -> TenantRecord:
         """Register *tenant_id*, generating any secret not supplied.
@@ -206,7 +220,8 @@ class KeyVault:
         write-once: the embedding parameters must never drift between protect
         and detect, so re-registering an existing tenant is an error (also
         when a concurrent writer registered it first — the insert is one
-        transaction).
+        transaction).  With *audit*, the registration also lands a
+        ``register`` record on the audit chain.
         """
         record = TenantRecord(
             tenant_id=tenant_id,
@@ -216,6 +231,19 @@ class KeyVault:
         )
         if not self._backend.put_tenant(tenant_id, _tenant_to_json(record)):
             raise VaultError(f"tenant {tenant_id!r} is already registered")
+        if audit:
+            # Parameters only — secrets never reach the (exportable) audit chain.
+            self.audit_log().append(
+                "register",
+                tenant_id,
+                payload={
+                    "eta": record.eta,
+                    "k": record.k,
+                    "mark_length": record.mark_length,
+                    "copies": record.copies,
+                    "code": record.code,
+                },
+            )
         return record
 
     def tenant(self, tenant_id: str) -> TenantRecord:
@@ -287,6 +315,38 @@ class KeyVault:
         if not payloads:
             self.tenant(tenant_id)  # raises for unknown tenants
         return {dataset_id: DatasetRecord(**payload) for dataset_id, payload in payloads.items()}
+
+    # ------------------------------------------------------------------ status
+    def status(self, tenant_id: str | None = None) -> dict:
+        """JSON-able snapshot of the vault: tenants, datasets, claimants.
+
+        Three live queries per tenant (its record, its dataset records, the
+        claimants of its datasets), so a long-running server reports datasets
+        a CLI protect just registered.
+        """
+        tenants = [tenant_id] if tenant_id is not None else self.tenants()
+        out: dict = {"vault": self._root, "tenants": {}}
+        for tenant in tenants:
+            record = self.tenant(tenant)
+            claimants = self._backend.tenant_claimants(tenant)
+            datasets = {}
+            for dataset, stored in self.dataset_records(tenant).items():
+                datasets[dataset] = {
+                    "rows": stored.rows,
+                    "mark": stored.mark_bits,
+                    "registered_statistic": stored.registered_statistic,
+                    "cells_changed": stored.cells_changed,
+                    "information_loss": stored.information_loss,
+                    "claimants": claimants.get(dataset, []),
+                }
+            out["tenants"][tenant] = {
+                "eta": record.eta,
+                "k": record.k,
+                "mark_length": record.mark_length,
+                "copies": record.copies,
+                "datasets": datasets,
+            }
+        return out
 
     # ----------------------------------------------------------- bulk (ops/CLI)
     def export_state(self) -> dict:

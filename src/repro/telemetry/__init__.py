@@ -19,50 +19,29 @@ per instrumented stage) and never changes output bytes — byte/bit-identity
 of protect/detect results with tracing on is asserted by the test suite.
 """
 
-from repro.telemetry.log import (
-    JsonLogFormatter,
-    configure_json_logging,
-    log_event,
-    redact_fields,
-    tenant_hash,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    render_prometheus,
-)
-from repro.telemetry.trace import (
-    PARENT_HEADER,
-    TRACE_HEADER,
-    Span,
-    TraceContext,
-    Tracer,
-    activate,
-    adopt,
-    capture,
-    current_tracer,
-    format_span_tree,
-    span,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "TraceContext",
-    "TRACE_HEADER",
-    "PARENT_HEADER",
-    "span",
-    "activate",
-    "adopt",
-    "capture",
-    "current_tracer",
-    "format_span_tree",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
-    "render_prometheus",
-    "JsonLogFormatter",
-    "configure_json_logging",
-    "log_event",
-    "redact_fields",
-    "tenant_hash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Span": ".trace",
+        "Tracer": ".trace",
+        "TraceContext": ".trace",
+        "TRACE_HEADER": ".trace",
+        "PARENT_HEADER": ".trace",
+        "span": ".trace",
+        "activate": ".trace",
+        "adopt": ".trace",
+        "capture": ".trace",
+        "current_tracer": ".trace",
+        "format_span_tree": ".trace",
+        "Histogram": ".metrics",
+        "DEFAULT_LATENCY_BUCKETS": ".metrics",
+        "render_prometheus": ".metrics",
+        "JsonLogFormatter": ".log",
+        "configure_json_logging": ".log",
+        "log_event": ".log",
+        "redact_fields": ".log",
+        "tenant_hash": ".log",
+    },
+)

@@ -25,61 +25,38 @@ The package contains:
   Section 5.4.
 """
 
-from repro.watermarking.keys import WatermarkKey
-from repro.watermarking.mark import (
-    Mark,
-    bits_to_string,
-    majority_vote,
-    mark_loss,
-    random_mark,
-    replicate_mark,
-    string_to_bits,
-    vote_margin,
-)
-from repro.watermarking.ecc import (
-    CODE_NAMES,
-    DecodeResult,
-    InterleavedBlockCode,
-    MarkCode,
-    RepetitionCode,
-    SoftRepetitionCode,
-    code_from_wire,
-    code_to_wire,
-    resolve_code,
-)
-from repro.watermarking.selection import is_selected, selected_row_indices
-from repro.watermarking.hierarchical import DetectionReport, EmbeddingReport, HierarchicalWatermarker
-from repro.watermarking.single_level import SingleLevelWatermarker
-from repro.watermarking.baseline_lsb import LSBWatermarker
-from repro.watermarking.ownership import DisputeVerdict, OwnershipClaim, OwnershipRegistry
+from repro._exports import lazy_exports
 
-__all__ = [
-    "WatermarkKey",
-    "Mark",
-    "random_mark",
-    "replicate_mark",
-    "majority_vote",
-    "vote_margin",
-    "mark_loss",
-    "bits_to_string",
-    "string_to_bits",
-    "MarkCode",
-    "DecodeResult",
-    "RepetitionCode",
-    "SoftRepetitionCode",
-    "InterleavedBlockCode",
-    "CODE_NAMES",
-    "resolve_code",
-    "code_to_wire",
-    "code_from_wire",
-    "is_selected",
-    "selected_row_indices",
-    "HierarchicalWatermarker",
-    "EmbeddingReport",
-    "DetectionReport",
-    "SingleLevelWatermarker",
-    "LSBWatermarker",
-    "OwnershipRegistry",
-    "OwnershipClaim",
-    "DisputeVerdict",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "WatermarkKey": ".keys",
+        "Mark": ".mark",
+        "random_mark": ".mark",
+        "replicate_mark": ".mark",
+        "majority_vote": ".mark",
+        "vote_margin": ".mark",
+        "mark_loss": ".mark",
+        "bits_to_string": ".mark",
+        "string_to_bits": ".mark",
+        "MarkCode": ".ecc",
+        "DecodeResult": ".ecc",
+        "RepetitionCode": ".ecc",
+        "SoftRepetitionCode": ".ecc",
+        "InterleavedBlockCode": ".ecc",
+        "CODE_NAMES": ".ecc",
+        "resolve_code": ".ecc",
+        "code_to_wire": ".ecc",
+        "code_from_wire": ".ecc",
+        "is_selected": ".selection",
+        "selected_row_indices": ".selection",
+        "HierarchicalWatermarker": ".hierarchical",
+        "EmbeddingReport": ".hierarchical",
+        "DetectionReport": ".hierarchical",
+        "SingleLevelWatermarker": ".single_level",
+        "LSBWatermarker": ".baseline_lsb",
+        "OwnershipRegistry": ".ownership",
+        "OwnershipClaim": ".ownership",
+        "DisputeVerdict": ".ownership",
+    },
+)

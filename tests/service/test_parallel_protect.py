@@ -115,7 +115,7 @@ class TestDegenerateCases:
             encryption_key=framework.encryption_key,
             mark_bits="1010",
         )
-        run = ShardExecutor(2).protect_csv(plan, empty, out, chunk_size=CHUNK)
+        run = ShardExecutor(2).protect_csv(plan, empty, out, expected_rows=0, chunk_size=CHUNK)
         assert run.rows == run.chunks == 0
         with open(out, newline="", encoding="utf-8") as handle:
             assert handle.read() == ",".join(schema.column_names) + "\r\n"
