@@ -197,7 +197,6 @@ def _cmd_vault_init(args: argparse.Namespace) -> int:
     # later registration.
     record = vault.register_tenant(
         args.tenant,
-        audit=True,
         encryption_key=args.encryption_key,
         watermark_secret=args.watermark_secret,
         eta=args.eta,

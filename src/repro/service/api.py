@@ -199,9 +199,10 @@ class ProtectionService:
             raise ValueError("pass either executor or runner, not both")
         self._vault = vault if isinstance(vault, KeyVault) else KeyVault(vault)
         self._claims = self._vault.claim_store()
-        # Every successful register/protect/detect/dispute lands one record
-        # on the vault's hash chain; ``audit=False`` is for vaults on
-        # read-only media, where appending would be the error.
+        # Every successful protect/detect/dispute lands one record on the
+        # vault's hash chain; ``audit=False`` is for vaults on read-only
+        # media, where appending would be the error.  Registration writes
+        # the vault anyway, so the vault always audits it.
         self._audit = self._vault.audit_log() if audit else None
         self._schema = schema if schema is not None else medical_schema()
         self._trees = dict(trees) if trees is not None else dict(standard_ontology().items())
@@ -246,7 +247,7 @@ class ProtectionService:
     # ----------------------------------------------------------------- tenants
     def register_tenant(self, tenant_id: str = DEFAULT_TENANT, **kwargs) -> TenantRecord:
         """Register (and audit) a tenant, generating secrets unless supplied; see the vault."""
-        return self._vault.register_tenant(tenant_id, audit=self._audit is not None, **kwargs)
+        return self._vault.register_tenant(tenant_id, **kwargs)
 
     def framework_for(self, tenant_id: str) -> ProtectionFramework:
         """The (cached) framework rebuilt from the tenant's vault record."""

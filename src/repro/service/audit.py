@@ -188,7 +188,7 @@ class SQLiteAuditLog:
         dataset: str | None = None,
         payload: dict | None = None,
     ) -> AuditRecord:
-        """Seal one record onto the chain (one fsynced commit)."""
+        """Seal one record onto the chain (its own fsynced commit, or the open one's)."""
         return AuditRecord(
             self._insert(
                 lambda index, prev: build_record(index, prev, event, tenant, dataset, payload or {})

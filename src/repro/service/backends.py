@@ -14,7 +14,8 @@ Durability
 The database runs in WAL mode at ``synchronous=FULL``: every commit fsyncs
 the write-ahead log before it returns, so a mutation reported as done
 survives a power cut.  A protect is three such commits (dataset record,
-claim, audit record).  Mutations are per-row statements, so their cost does
+claim, audit record); a registration is one (tenant row and its audit
+record, grouped with :meth:`SQLiteRegistryBackend.transaction`).  Mutations are per-row statements, so their cost does
 not grow with the registry.
 
 Reads are live
@@ -97,18 +98,25 @@ class _Transaction:
     IMMEDIATE takes the write lock up front, so a read-then-write mutation
     (register-if-absent, append-to-chain) can never interleave with another
     writer's, across threads and processes alike.  The connection's busy
-    timeout arbitrates contention.
+    timeout arbitrates contention.  Inside another transaction it is a
+    savepoint, so several mutations can share one commit.
     """
 
     def __init__(self, conn: sqlite3.Connection) -> None:
         self._conn = conn
+        self._nested = False
 
     def __enter__(self) -> sqlite3.Connection:
-        self._conn.execute("BEGIN IMMEDIATE")
+        self._nested = self._conn.in_transaction
+        self._conn.execute("SAVEPOINT nested" if self._nested else "BEGIN IMMEDIATE")
         return self._conn
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
+        if self._nested:
+            if exc_type is not None:
+                self._conn.execute("ROLLBACK TO nested")
+            self._conn.execute("RELEASE nested")
+        elif exc_type is None:
             self._conn.execute("COMMIT")
         else:
             self._conn.execute("ROLLBACK")
@@ -156,6 +164,10 @@ class SQLiteRegistryBackend:
             self._creating = False
 
     # -------------------------------------------------------------- connections
+    def transaction(self) -> _Transaction:
+        """One commit around the backend mutations made inside the block."""
+        return _Transaction(self.connection())
+
     def connection(self) -> sqlite3.Connection:
         """This (process, thread)'s connection — never shared, fork-safe."""
         state = self._local

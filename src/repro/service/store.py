@@ -103,10 +103,6 @@ class ClaimStore:
     def claimants(self, dataset_id: str) -> list[str]:
         return [entry["claimant"] for entry in self._backend.list_claims(dataset_id)]
 
-    def tenant_claimants(self, tenant_id: str) -> dict[str, list[str]]:
-        """Claimants per dataset of *tenant_id*, in claim order (one query)."""
-        return self._backend.tenant_claimants(tenant_id)
-
     def datasets(self) -> list[str]:
         return self._backend.claim_datasets()
 

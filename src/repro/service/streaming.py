@@ -20,6 +20,7 @@ import csv
 import io
 import os
 import secrets
+import stat
 from typing import Iterable, Iterator, Mapping
 
 from repro.relational.io import iter_csv_rows, write_csv_rows
@@ -170,15 +171,23 @@ class RowWriter:
     Cells serialise via ``str()``, so :class:`~repro.dht.node.Interval` values
     emit the literal the readers parse back.
 
-    Rows go to a temporary file next to *path*.  A clean exit from the
-    ``with`` block fsyncs it and renames it over *path*; an exception
-    removes it.  Either way *path* holds its old contents or the complete
-    new file, never a partial one — also after a crash, which at worst
-    leaves a stray ``.*.tmp`` file beside it.
+    Rows go to a temporary file next to *path* (next to its target when
+    *path* is a symlink, which stays in place).  A clean exit from the
+    ``with`` block fsyncs it, renames it over the destination and fsyncs
+    the directory, so the new file is durable before the caller records
+    it anywhere; an exception removes it.  Either way the destination
+    holds its old contents or the complete new file, never a partial one
+    — also after a crash, which at worst leaves a stray ``.*.tmp`` file
+    beside it.  A new destination gets the mode a plain ``open(path,
+    "w")`` would give it; an existing one keeps its mode, and the
+    temporary file never carries a wider one.  The rename gives the
+    destination a new inode: the writer owns it and hard links to the
+    old file keep the old contents.
     """
 
     def __init__(self, path: str, schema: TableSchema) -> None:
         self._path = path
+        self._target = None
         self._temp_path = None
         self._schema = schema
         self._handle = None
@@ -190,9 +199,18 @@ class RowWriter:
         return self._rows_written
 
     def __enter__(self) -> "RowWriter":
-        directory, name = os.path.split(os.path.abspath(self._path))
+        self._target = os.path.realpath(self._path)
+        directory, name = os.path.split(self._target)
+        try:
+            mode = stat.S_IMODE(os.stat(self._target).st_mode)
+        except FileNotFoundError:
+            mode = None
         self._temp_path = os.path.join(directory, f".{name}.{secrets.token_hex(4)}.tmp")
-        self._handle = open(self._temp_path, "x", newline="", encoding="utf-8")
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+        fd = os.open(self._temp_path, flags, 0o666 if mode is None else 0o600)
+        self._handle = open(fd, "w", newline="", encoding="utf-8")
+        if mode is not None:
+            os.chmod(fd, mode)
         self._writer = csv.DictWriter(self._handle, fieldnames=self._schema.column_names)
         self._writer.writeheader()
         return self
@@ -225,7 +243,12 @@ class RowWriter:
                     handle.flush()
                     os.fsync(handle.fileno())
             if exc_type is None:
-                os.replace(self._temp_path, self._path)
+                os.replace(self._temp_path, self._target)
+                directory = os.open(os.path.dirname(self._target), os.O_RDONLY)
+                try:
+                    os.fsync(directory)
+                finally:
+                    os.close(directory)
         finally:
             if os.path.exists(self._temp_path):
                 os.unlink(self._temp_path)

@@ -211,7 +211,6 @@ class KeyVault:
         *,
         encryption_key: str | None = None,
         watermark_secret: str | None = None,
-        audit: bool = False,
         **params,
     ) -> TenantRecord:
         """Register *tenant_id*, generating any secret not supplied.
@@ -219,9 +218,8 @@ class KeyVault:
         Generated secrets come from :mod:`secrets` (CSPRNG).  Registration is
         write-once: the embedding parameters must never drift between protect
         and detect, so re-registering an existing tenant is an error (also
-        when a concurrent writer registered it first — the insert is one
-        transaction).  With *audit*, the registration also lands a
-        ``register`` record on the audit chain.
+        when a concurrent writer registered it first).  The tenant row and
+        its ``register`` record on the audit chain land in one transaction.
         """
         record = TenantRecord(
             tenant_id=tenant_id,
@@ -229,9 +227,9 @@ class KeyVault:
             watermark_secret=watermark_secret or _secrets.token_hex(GENERATED_SECRET_BYTES),
             **params,
         )
-        if not self._backend.put_tenant(tenant_id, _tenant_to_json(record)):
-            raise VaultError(f"tenant {tenant_id!r} is already registered")
-        if audit:
+        with self._backend.transaction():
+            if not self._backend.put_tenant(tenant_id, _tenant_to_json(record)):
+                raise VaultError(f"tenant {tenant_id!r} is already registered")
             # Parameters only — secrets never reach the (exportable) audit chain.
             self.audit_log().append(
                 "register",

@@ -9,6 +9,7 @@ registration.
 
 import hashlib
 import os
+import stat
 
 import pytest
 
@@ -85,3 +86,55 @@ class TestSuccessfulProtect:
             == hashlib.sha256(fresh.read_bytes()).hexdigest()
         )
         assert service.vault.dataset("owner", "d").rows == 1_000
+
+
+class TestPublishedFile:
+    def test_existing_destination_keeps_its_mode(self, env):
+        service, destination = env["service"], env["destination"]
+        destination.chmod(0o600)
+        service.protect("owner", str(env["raw"]), str(destination), dataset_id="d")
+        assert stat.S_IMODE(destination.stat().st_mode) == 0o600
+
+    def test_new_destination_gets_the_umask_mode(self, env, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            fresh = tmp_path / "fresh.csv"
+            env["service"].protect("owner", str(env["raw"]), str(fresh), dataset_id="d")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o640
+
+    def test_symlinked_destination_writes_through_the_link(self, env, tmp_path):
+        service, destination = env["service"], env["destination"]
+        link = tmp_path / "link.csv"
+        link.symlink_to(destination)
+        service.protect("owner", str(env["raw"]), str(link), dataset_id="d")
+        assert link.is_symlink()
+        assert destination.read_bytes() != OLD_CONTENTS
+        assert service.vault.dataset("owner", "d").rows == 1_000
+
+    def test_http_protect_output_is_private_while_served(self, env, tmp_path, monkeypatch):
+        from repro.service.http import ProtectionApp, ServiceClient
+        from repro.service.http import app as http_app
+        from repro.service.http.server import serve_in_thread
+
+        served_modes = []
+        file_body = http_app._FileBody
+
+        class RecordingBody(file_body):
+            def __init__(self, path, **kwargs):
+                served_modes.append(stat.S_IMODE(os.stat(path).st_mode))
+                super().__init__(path, **kwargs)
+
+        monkeypatch.setattr(http_app, "_FileBody", RecordingBody)
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        server, url = serve_in_thread(ProtectionApp(env["service"], spool_dir=str(spool)))
+        try:
+            token = env["service"].vault.issue_token("owner")
+            ServiceClient(url, token).protect("owner", "d", str(env["raw"]), str(tmp_path / "h.csv"))
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert len(served_modes) == 1
+        assert served_modes[0] & 0o077 == 0

@@ -25,7 +25,7 @@ from repro.service.audit import (
     record_digest,
     verify_records,
 )
-from repro.service.vault import KeyVault
+from repro.service.vault import KeyVault, VaultError
 
 TOOLS_DIR = Path(__file__).resolve().parents[2] / "tools"
 
@@ -150,14 +150,37 @@ class TestServiceCapture:
         assert tenant.encryption_key not in blob
         assert tenant.watermark_secret not in blob
 
-    def test_audit_false_disables_capture(self, tmp_path):
+    def test_audit_false_disables_capture(self, tmp_path, raw_table_csv):
         from repro.service.api import ProtectionService
 
         vault = KeyVault.init(tmp_path / "v")
-        service = ProtectionService(vault, audit=False)
-        service.register_tenant("owner")
+        service = ProtectionService(vault, chunk_size=256, audit=False)
+        # Registration writes the vault anyway, so the vault audits it itself.
+        service.register_tenant("owner", k=10, eta=20, epsilon=5)
         assert service.audit is None
-        assert vault.audit_log().verify() == 0
+        out = str(tmp_path / "protected.csv")
+        service.protect("owner", raw_table_csv, out, dataset_id="d")
+        service.detect("owner", out, dataset_id="d")
+        service.dispute("owner", out, dataset_id="d")
+        assert [record["event"] for record in vault.audit_log().entries()] == ["register"]
+
+    def test_registration_and_its_record_share_one_commit(self, tmp_path, monkeypatch):
+        from repro.service.audit import SQLiteAuditLog
+
+        vault = KeyVault.init(tmp_path / "v")
+        vault.register_tenant("acme")
+        with pytest.raises(VaultError):
+            vault.register_tenant("acme")  # a refused duplicate leaves no record
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(SQLiteAuditLog, "append", fail)
+        with pytest.raises(OSError):
+            vault.register_tenant("globex")  # an unrecorded registration rolls back
+        monkeypatch.undo()
+        assert vault.tenants() == ["acme"]
+        assert [record["tenant"] for record in vault.audit_log().entries()] == ["acme"]
 
 
 def seeded_chain(tmp_path, records=6):

@@ -200,8 +200,7 @@ class TestTransactions:
 
     def test_import_leaves_the_audit_chain_untouched(self, tmp_path):
         vault = self.seeded(tmp_path)
-        log = vault.audit_log()
-        log.append("register", "acme")
+        log = vault.audit_log()  # holds acme's register record
         head = list(log.entries())
         vault.import_state({"tenants": {}, "claims": {}})
         assert list(log.entries()) == head

@@ -37,7 +37,7 @@ def _mutate(root, worker, errors):
                 ),
             )
             vault.audit_log().append(
-                "register", tenant, payload={"worker": worker, "step": step}
+                "checkpoint", tenant, payload={"worker": worker, "step": step}
             )
     except Exception as error:  # pragma: no cover - surfaces in the assert
         errors.put(f"worker {worker}: {error!r}")
@@ -103,14 +103,21 @@ class TestNoLostUpdates:
         _run_workers(_mutate, root)
 
         log = KeyVault(root).audit_log()
-        assert log.verify() == WORKERS * PER_WORKER
+        # Each step appends twice: its registration's record and a checkpoint.
+        assert log.verify() == 2 * WORKERS * PER_WORKER
         # Every worker's every step is present exactly once — nothing was
         # overwritten by a concurrent appender racing for the same index.
-        seen = {
+        records = list(log.entries())
+        seen = [
             (record["payload"]["worker"], record["payload"]["step"])
-            for record in log.entries()
-        }
-        assert seen == {(w, s) for w in range(WORKERS) for s in range(PER_WORKER)}
+            for record in records
+            if record["event"] == "checkpoint"
+        ]
+        assert sorted(seen) == [(w, s) for w in range(WORKERS) for s in range(PER_WORKER)]
+        registered = [record["tenant"] for record in records if record["event"] == "register"]
+        assert sorted(registered) == sorted(
+            f"w{w}-t{s}" for w in range(WORKERS) for s in range(PER_WORKER)
+        )
 
     def test_concurrent_claims_merge_without_loss(self, tmp_path):
         root = tmp_path / "v"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.service.backends import SQLiteRegistryBackend
 from repro.service.store import claim_from_json, claim_to_json
 from repro.service.vault import KeyVault
 from repro.watermarking.keys import WatermarkKey
@@ -107,7 +108,7 @@ class TestClaimStore:
         before = data_version()
         store.claims("d")
         store.claimants("d")
-        store.tenant_claimants("acme")
+        SQLiteRegistryBackend(tmp_path / "v").tenant_claimants("acme")
         store.datasets()
         assert data_version() == before
         store.add_claim("d", _claim())
@@ -119,6 +120,7 @@ class TestClaimStore:
 
         vault = KeyVault.init(tmp_path / "v")
         store = vault.claim_store()
+        backend = SQLiteRegistryBackend(tmp_path / "v")
         for tenant, dataset in (("acme", "a"), ("globex", "g")):
             vault.register_tenant(tenant)
             vault.record_dataset(
@@ -128,6 +130,6 @@ class TestClaimStore:
         store.add_claim("g", _claim("owner"))
         store.add_claim("a", _claim("mallory"))
         store.add_claim("unregistered", _claim("mallory"))
-        assert store.tenant_claimants("acme") == {"a": ["owner", "mallory"]}
-        assert store.tenant_claimants("globex") == {"g": ["owner"]}
-        assert store.tenant_claimants("nobody") == {}
+        assert backend.tenant_claimants("acme") == {"a": ["owner", "mallory"]}
+        assert backend.tenant_claimants("globex") == {"g": ["owner"]}
+        assert backend.tenant_claimants("nobody") == {}
