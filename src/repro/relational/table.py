@@ -23,11 +23,13 @@ Two invariants govern the design:
 * **Exact cell types.**  Typed columns keep every cell's exact type (``30``
   stays ``int``, ``2.5`` stays ``float``; a type mismatch spills the column to
   a plain object list rather than coercing), and :class:`CsvParsePlan`
-  reproduces ``csv.DictReader`` + :func:`~repro.relational.io.parse_row`
-  semantics cell for cell, so every hash and CSV byte downstream is a
-  function of the values alone.  ``tests/relational/test_columnar.py`` holds
-  protect / detect / attack outputs to digests pinned from the list-of-dicts
-  implementation this class replaced.
+  decodes a column at a time to the values and exact types of
+  ``csv.DictReader`` + :func:`~repro.relational.io.parse_row`, so every hash
+  and CSV byte downstream is a function of the values alone.
+  ``tests/relational/test_columnar.py`` holds protect / detect / attack
+  outputs to digests pinned from the list-of-dicts implementation this class
+  replaced, and ``tests/relational/test_csv_decode.py`` the decode to that
+  reference parse.
 * **Copy-on-write at store granularity.**  :meth:`Table.lazy_copy` shares
   the whole column store; the first mutation through either table's API
   copies it once.  Code that writes through a row view obtained by
@@ -41,6 +43,7 @@ import csv
 import itertools
 from array import array
 from collections import Counter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.relational.io import CsvRecordError, coerce_numeric_cell
@@ -137,10 +140,6 @@ class TypedColumn:
             return
         self._spill()
         self.data.append(value)
-
-    def extend(self, values: Iterable[object]) -> None:
-        for value in values:
-            self.append(value)
 
     def __setitem__(self, index: int, value: object) -> None:
         kind = self.kind
@@ -304,69 +303,88 @@ class ColumnRow:
         return repr(dict(self.items()))
 
 
+def _decode_numeric(name: str, texts: Sequence[str]) -> list[object]:
+    """The cells of numeric column *name*, each distinct text coerced once.
+
+    Distinct texts are coerced in first-occurrence order, so the first one
+    that fails is also the column's earliest failing record, raised as a
+    :class:`~repro.relational.io.CsvRecordError` at that record.  A result is
+    shared between the cells that spell it only when it equals itself:
+    every ``nan`` cell gets its own float, as a per-cell parse gives it
+    (containers match keys by identity before ``==``, so one shared NaN
+    would merge in a ``Counter``).
+    """
+    distinct = dict.fromkeys(texts)
+    memo: dict[str, object] = {}
+    for text in distinct:
+        try:
+            value = coerce_numeric_cell(text)
+        except ValueError as error:
+            raise CsvRecordError(f"column {name!r}: {error}", record=texts.index(text)) from None
+        if value == value:
+            memo[text] = value
+    if len(memo) == len(distinct):
+        return list(map(memo.__getitem__, texts))
+    return [memo[text] if text in memo else coerce_numeric_cell(text) for text in texts]
+
+
 class CsvParsePlan:
-    """Positional CSV parsing straight into columns.
+    """Positional CSV parsing straight into columns, a column at a time.
 
     Mirrors ``csv.DictReader`` + :func:`repro.relational.io.parse_row`
     exactly: fieldnames come from the first record with duplicates resolved
     last-wins, blank records are skipped, short records pad missing cells
     with the reader's ``restval`` (``None``, i.e. the text ``"None"``),
     extra cells are ignored, and a schema column absent from the header
-    raises the same ``ValueError`` the dict path raises — but each cell goes
-    directly from the reader's string to its column buffer, with no
-    intermediate dict.
+    raises the same ``ValueError`` the dict path raises.  No per-row dict is
+    built: each column's texts come out of the records in one C-level pass,
+    and a numeric column coerces each distinct text once.
     """
 
-    __slots__ = ("fields",)
+    __slots__ = ("schema", "fields", "width")
 
     def __init__(self, fieldnames: Sequence[str], schema: TableSchema) -> None:
         positions: dict[str, int] = {}
         for position, name in enumerate(fieldnames):
             positions[name] = position  # duplicate header: last occurrence wins
+        self.schema = schema
         self.fields = [
             (column.name, positions.get(column.name), column.ctype is ColumnType.NUMERIC)
             for column in schema
         ]
+        present = [position for _, position, _ in self.fields if position is not None]
+        # Records shorter than this get restval cells, as DictReader gives them.
+        self.width = max(present, default=-1) + 1
 
-    def extend_table(
-        self,
-        table: "Table",
-        records: Iterable[Sequence[str]],
-        limit: int | None = None,
-    ) -> int:
-        """Parse up to *limit* records into *table*; return the number parsed.
+    def parse(self, records: Iterable[list[str]], limit: int | None = None) -> "Table":
+        """A new table of the next *limit* non-blank records (all when ``None``).
 
-        A cell that does not parse raises :class:`~repro.relational.io.CsvRecordError`
-        naming its column and carrying the failing record's 0-based index
-        among the non-blank records of this call; *table* is then unusable.
+        Takes exactly the records it parses from *records*, so a shared
+        reader resumes at the next one.  A record that does not parse raises
+        :class:`~repro.relational.io.CsvRecordError` carrying its 0-based
+        index among the non-blank records of this call: the earliest failing
+        record, and within it the first failing column in schema order.
         """
-        table._unshare()
-        store = table._store
-        coerce = coerce_numeric_cell
-        plan = [
-            (name, position, numeric, store.columns[name].append)
-            for name, position, numeric in self.fields
-        ]
-        count = 0
-        for record in records:
-            if not record:
-                continue  # DictReader skips blank records
-            width = len(record)
+        rows = list(itertools.islice(filter(None, records), limit))
+        width = self.width
+        if rows and min(map(len, rows)) < width:
+            rows = [row + ["None"] * (width - len(row)) for row in rows]
+        columns: dict[str, Sequence[object]] = {}
+        failure: CsvRecordError | None = None
+        for name, position, numeric in self.fields:
             try:
-                for name, position, numeric, append in plan:
-                    if position is None:
-                        raise CsvRecordError(f"CSV row is missing column {name!r}", record=count)
-                    text = record[position] if position < width else "None"
-                    append(coerce(text) if numeric else text)
-            except CsvRecordError:
-                raise
-            except ValueError as error:
-                raise CsvRecordError(f"column {name!r}: {error}", record=count) from None
-            count += 1
-            store.row_count += 1
-            if limit is not None and count >= limit:
-                break
-        return count
+                if position is None and rows:
+                    raise CsvRecordError(f"CSV row is missing column {name!r}", record=0)
+                # One C-level pass per column; with no rows, a missing column is empty too.
+                cells = list(map(itemgetter(position), rows))
+                columns[name] = _decode_numeric(name, cells) if numeric else cells
+            except CsvRecordError as error:
+                # Schema order: a later column wins only at an earlier record.
+                if failure is None or error.record < failure.record:
+                    failure = error
+        if failure is not None:
+            raise failure
+        return Table.from_columns(self.schema, columns)
 
 
 class Table:
@@ -644,20 +662,18 @@ class Table:
         :class:`~repro.relational.io.CsvRecordError` naming *path* and the
         record's physical line.
         """
-        table = cls(schema)
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
             fieldnames = next(reader, None)
             if fieldnames is None:
-                return table
+                return cls(schema)
             try:
-                CsvParsePlan(fieldnames, schema).extend_table(table, reader)
+                return CsvParsePlan(fieldnames, schema).parse(reader)
             except CsvRecordError as error:
                 handle.seek(0)
                 header = handle.readline()
                 line = chunk_record_line(header, handle, error.record)
                 raise error.at_line(line, path) from None
-        return table
 
     @classmethod
     def from_csv_chunk(cls, schema: TableSchema, header: str, lines: Sequence[str]) -> "Table":
@@ -667,15 +683,14 @@ class Table:
         :class:`~repro.relational.io.CsvRecordError` at its physical line
         within the chunk (the header is line 1).
         """
-        table = cls(schema)
         reader = csv.reader(itertools.chain([header], lines))
         fieldnames = next(reader, None)
-        if fieldnames is not None:
-            try:
-                CsvParsePlan(fieldnames, schema).extend_table(table, reader)
-            except CsvRecordError as error:
-                raise error.at_line(chunk_record_line(header, lines, error.record)) from None
-        return table
+        if fieldnames is None:
+            return cls(schema)
+        try:
+            return CsvParsePlan(fieldnames, schema).parse(reader)
+        except CsvRecordError as error:
+            raise error.at_line(chunk_record_line(header, lines, error.record)) from None
 
 
 def chunk_record_line(header: str, lines: Iterable[str], record: int) -> int:

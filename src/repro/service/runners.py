@@ -254,10 +254,10 @@ def collect_raw_chunk(
 ) -> tuple[int, DetectionVotes]:
     """Process-pool task: parse one raw CSV chunk and collect its votes.
 
-    The chunk parses straight into table columns
-    (:meth:`~repro.relational.table.Table.from_csv_chunk`), whose parse plan
-    mirrors ``csv.DictReader`` + ``parse_row`` cell for cell — a worker sees
-    exactly what the in-process reader would have produced.  Returns
+    The chunk parses a column at a time into table columns
+    (:meth:`~repro.relational.table.Table.from_csv_chunk`), with the values,
+    cell types and failures of ``csv.DictReader`` + ``parse_row`` — a worker
+    sees exactly what the in-process reader would have produced.  Returns
     ``(row_count, votes)``: the caller needs the count for the detection
     report and must not re-scan the chunk.
     """

@@ -58,9 +58,11 @@ def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_
     so processing chunk tables in file order is exactly equivalent to
     processing one full table.
 
-    The cells go straight from the CSV reader into each chunk's typed column
-    buffers, with the parse semantics of ``csv.DictReader`` + ``parse_row``
-    (asserted by ``tests/relational/test_columnar.py``).
+    Each chunk is one :meth:`~repro.relational.table.CsvParsePlan.parse`
+    call on the shared reader, which takes exactly *chunk_size* non-blank
+    records and decodes them a column at a time, with the parse semantics
+    of ``csv.DictReader`` + ``parse_row`` (asserted by
+    ``tests/relational/test_csv_decode.py``).
     """
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
@@ -71,11 +73,10 @@ def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_
             return
         plan = CsvParsePlan(fieldnames, schema)
         while True:
-            chunk = Table(schema)
-            parsed = plan.extend_table(chunk, reader, limit=chunk_size)
-            if parsed:
+            chunk = plan.parse(reader, limit=chunk_size)
+            if chunk:
                 yield chunk
-            if parsed < chunk_size:
+            if len(chunk) < chunk_size:
                 return
 
 
@@ -86,9 +87,10 @@ def iter_raw_chunks(
 
     The unparsed counterpart of :func:`iter_tables`, for runners that move
     parsing off the ingest thread: the main process only reads lines (cheap
-    I/O), each worker runs ``csv.DictReader`` over its own chunk — prefixed
-    with the shared header so field mapping is identical to reading the file
-    — and parses with the same :mod:`repro.relational.io` machinery.
+    I/O), each worker parses its own chunk with
+    :meth:`~repro.relational.table.Table.from_csv_chunk` — a ``csv.reader``
+    over the chunk prefixed with the shared header, so field mapping is
+    identical to reading the file, decoded a column at a time.
 
     Chunk boundaries land only where the quote parity is even: a suspect CSV
     is attacker-supplied, and a quoted cell may legally contain a newline, so
