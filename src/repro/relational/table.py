@@ -356,16 +356,15 @@ class CsvParsePlan:
         # Records shorter than this get restval cells, as DictReader gives them.
         self.width = max(present, default=-1) + 1
 
-    def parse(self, records: Iterable[list[str]], limit: int | None = None) -> "Table":
-        """A new table of the next *limit* non-blank records (all when ``None``).
+    def parse(self, records: Iterable[list[str]]) -> "Table":
+        """A new table of the non-blank *records*.
 
-        Takes exactly the records it parses from *records*, so a shared
-        reader resumes at the next one.  A record that does not parse raises
+        A record that does not parse raises
         :class:`~repro.relational.io.CsvRecordError` carrying its 0-based
-        index among the non-blank records of this call: the earliest failing
-        record, and within it the first failing column in schema order.
+        index among the non-blank records: the earliest failing record, and
+        within it the first failing column in schema order.
         """
-        rows = list(itertools.islice(filter(None, records), limit))
+        rows = list(filter(None, records))
         width = self.width
         if rows and min(map(len, rows)) < width:
             rows = [row + ["None"] * (width - len(row)) for row in rows]

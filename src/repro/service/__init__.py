@@ -17,8 +17,8 @@ cold process:
   register/protect/detect/dispute events (tamper-evident provenance);
 * :mod:`repro.service.streaming` — chunked CSV ingest/emit so million-row
   files never materialise as a full table;
-* :mod:`repro.service.executor` — shard-parallel embed/detect, bit-identical
-  to the serial batched path;
+* :mod:`repro.service.executor` — chunk-parallel protect/detect/dispute over
+  CSV files, bit-identical to the serial batched path;
 * :mod:`repro.service.runners` — pluggable chunk runners: the GIL-bound
   :class:`ThreadRunner`, the engine-reconstructing :class:`ProcessRunner`,
   the :class:`DefaultRunner` used when none is named (processes for CSV
@@ -49,7 +49,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "DetectOutcome": ".api",
         "suspect_view": ".api",
         "ShardExecutor": ".executor",
-        "shard_spans": ".executor",
         "ShardRunner": ".runners",
         "ThreadRunner": ".runners",
         "ProcessRunner": ".runners",

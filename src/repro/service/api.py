@@ -49,7 +49,6 @@ from repro.service.vault import (
     dataset_id_for,
 )
 from repro.telemetry.trace import span as _stage_span
-from repro.watermarking.hierarchical import DetectionReport
 from repro.watermarking.mark import Mark, mark_loss
 from repro.watermarking.ownership import (
     DisputeVerdict,
@@ -499,22 +498,6 @@ class ProtectionService:
             code=report.code,
             corrected_bits=report.corrected_bits,
             bit_confidence=report.bit_confidence,
-        )
-
-    def detect_binned(
-        self,
-        tenant_id: str,
-        binned: BinnedTable,
-        *,
-        workers: int | None = None,
-        runner: "str | ShardRunner | None" = None,
-        shards: int | None = None,
-    ) -> DetectionReport:
-        """Shard-parallel detect over an in-memory binned table (library callers)."""
-        record = self._vault.tenant(tenant_id)
-        executor = self._executor_for(workers, runner)
-        return executor.detect(
-            self.framework_for(tenant_id).watermarker(), binned, record.mark_length, shards=shards
         )
 
     def _executor_for(

@@ -1,64 +1,44 @@
-"""Shard-parallel embed/detect, bit-identical to the serial batched path.
+"""Chunk-parallel protect, detect and dispute, bit-identical to serial.
 
 Both halves of the watermarking algorithm are per-row computations: whether a
 tuple is selected, where its bit lives in the replicated mark and which
 sibling index encodes it depend only on that tuple's (encrypted) identifier.
-A table can therefore be split into contiguous row shards, each shard
-embedded/vote-collected independently, and the results merged:
+A CSV file can therefore be split into contiguous raw chunks, each chunk
+worked independently, and the results merged in chunk order.  *Where* each
+chunk's task runs is delegated to a pluggable
+:class:`~repro.service.runners.ShardRunner` (threads, processes, the default
+process-or-inline runner, or a remote fleet for detect); the merge machinery
+here is identical in every case, which is what keeps every runner
+bit-identical to serial:
 
-* **detect** — each shard produces a
+* **detect** (:meth:`ShardExecutor.detect_csv`) — each chunk produces a
   :class:`~repro.watermarking.hierarchical.DetectionVotes`; merging them in
-  shard order reproduces the serial per-position vote lists exactly, so the
+  chunk order reproduces the serial per-position vote lists exactly, so the
   finalised :class:`DetectionReport` (mark, wmd bits, counters) is
   bit-identical to a serial :meth:`detect` — asserted by the service tests on
-  clean and attacked tables.
-* **embed** — each shard embeds into its own copy-on-write slice; the merged
-  table is the shard tables' rows concatenated in shard order, equal row for
-  row to a serial embed.
-
-*Where* the per-shard vote collection runs is delegated to a pluggable
-:class:`~repro.service.runners.ShardRunner`: the
-:class:`~repro.service.runners.ThreadRunner` shares the engine's digest
-caches but is GIL-bound on small hash payloads, the
-:class:`~repro.service.runners.ProcessRunner` rebuilds engines per worker
-from picklable params and ships only ``DetectionVotes`` back (the default
-:class:`~repro.service.runners.DefaultRunner` uses it for CSV files and
-threads for in-memory shards), and the
-:class:`~repro.service.runners.RemoteRunner` does the same over HTTP against
-a fleet of ``repro serve`` workers — the merge machinery is identical in all
-three cases, which is what keeps every runner bit-identical to serial.
-
-Protect's pass 1 (:meth:`ShardExecutor.aggregate_csv`) sums per-chunk
-:class:`~repro.service.runners.ChunkAggregates` — leaf counts and the exact
-identifier total — which add up to one sweep's in any order.  Pass 2 is the
-embed-side counterpart (:meth:`ShardExecutor.protect_csv`):
-once pass 1 has fixed the binning plan, rewrite + embed is per-chunk
-independent, so the runner maps :func:`~repro.service.runners.protect_raw_chunk`
-over raw CSV chunks and the executor splices the returned chunk texts — in
-chunk order — through one :class:`~repro.service.streaming.RowWriter`.
-Protect workers do ship rows back (the result *is* the rows), but they also
-carry parsing, encryption, generalisation, embedding and serialisation, so a
-process pool wins where the in-memory :meth:`ShardExecutor.embed` (rows in
-*both* directions, no parse work) stays thread-based.
-
-The Section 5.4 dispute is the detect-side pattern again
-(:meth:`ShardExecutor.dispute_csv`): the runner maps
-:func:`~repro.service.runners.dispute_raw_chunk` over raw chunks, and each
-claim's :class:`~repro.watermarking.ownership.ClaimEvidence` merges in chunk
-order, so finalising it reproduces the whole-table assessment.
+  clean and attacked files.
+* **protect** — pass 1 (:meth:`ShardExecutor.aggregate_csv`) sums per-chunk
+  :class:`~repro.service.runners.ChunkAggregates` — leaf counts and the exact
+  identifier total — which add up to one sweep's in any order.  Once pass 1
+  has fixed the binning plan, rewrite + embed is per-chunk independent, so
+  pass 2 (:meth:`ShardExecutor.protect_csv`) maps
+  :func:`~repro.service.runners.protect_raw_chunk` over the chunks and
+  splices the returned chunk texts, in chunk order, through one
+  :class:`~repro.service.streaming.RowWriter`.
+* **dispute** (:meth:`ShardExecutor.dispute_csv`) — the detect-side pattern
+  again: each claim's :class:`~repro.watermarking.ownership.ClaimEvidence`
+  merges in chunk order, so finalising it reproduces the whole-table
+  assessment of Section 5.4.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
-from repro.binning.binner import BinnedTable
 from repro.relational.schema import TableSchema
-from repro.relational.table import Table
 from repro.service.runners import (
     LOCAL_ONLY_ERROR,
     AggregatePlan,
@@ -70,16 +50,10 @@ from repro.service.runners import (
 )
 from repro.service.streaming import DEFAULT_CHUNK_SIZE, RowWriter
 from repro.telemetry.trace import span as _stage_span
-from repro.watermarking.hierarchical import (
-    DetectionReport,
-    DetectionVotes,
-    EmbeddingReport,
-    HierarchicalWatermarker,
-)
-from repro.watermarking.mark import Mark
+from repro.watermarking.hierarchical import DetectionReport, DetectionVotes, HierarchicalWatermarker
 from repro.watermarking.ownership import ClaimEvidence
 
-__all__ = ["shard_spans", "shard_binned", "ProtectRun", "ShardExecutor"]
+__all__ = ["ProtectRun", "ShardExecutor"]
 
 
 @dataclass(frozen=True)
@@ -95,37 +69,9 @@ class ProtectRun:
     def chunks(self) -> int:
         return len(self.chunk_seconds)
 
-#: Shards below this many rows are not worth the pool dispatch overhead.
-MIN_ROWS_PER_SHARD = 256
-
-
-def shard_spans(n_rows: int, shards: int) -> list[tuple[int, int]]:
-    """Split ``range(n_rows)`` into *shards* contiguous, near-equal spans.
-
-    The first ``n_rows % shards`` spans carry one extra row; empty spans are
-    never produced (fewer spans come back when there are fewer rows than
-    shards, and an empty table yields no spans at all — callers must treat
-    ``[]`` as "nothing to do", not index into it).
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    shards = min(shards, n_rows) if n_rows else 0
-    spans: list[tuple[int, int]] = []
-    start = 0
-    for index in range(shards):
-        size = n_rows // shards + (1 if index < n_rows % shards else 0)
-        spans.append((start, start + size))
-        start += size
-    return spans
-
-
-def shard_binned(binned: BinnedTable, shards: int) -> list[BinnedTable]:
-    """Contiguous row shards of *binned* sharing its metadata."""
-    return [binned.slice(start, stop) for start, stop in shard_spans(len(binned.table), shards)]
-
 
 class ShardExecutor:
-    """Runs embed/detect over row shards on a pluggable runner and merges results."""
+    """Runs a verb's raw-chunk tasks on a pluggable runner and merges the results."""
 
     def __init__(
         self,
@@ -152,58 +98,6 @@ class ShardExecutor:
         return self._runner.name
 
     # ---------------------------------------------------------------- detection
-    def detect(
-        self,
-        watermarker: HierarchicalWatermarker,
-        binned: BinnedTable,
-        mark_length: int,
-        *,
-        shards: int | None = None,
-    ) -> DetectionReport:
-        """Shard-parallel :meth:`HierarchicalWatermarker.detect` over *binned*.
-
-        An empty table short-circuits to finalising empty votes — a valid,
-        all-zero report with zero coverage — rather than sharding nothing.
-        """
-        if len(binned.table) == 0:
-            return watermarker.finalize_votes(self._empty_votes(watermarker, mark_length), mark_length)
-        shards = self._effective_shards(len(binned.table), shards)
-        if shards <= 1:
-            return watermarker.detect(binned, mark_length)
-        pieces = shard_binned(binned, shards)
-        merged = self._merge_stream(
-            self._runner.collect_tables(
-                watermarker, pieces, mark_length, max_workers=self._max_workers
-            )
-        )
-        if merged is None:  # pragma: no cover - pieces is non-empty here
-            merged = self._empty_votes(watermarker, mark_length)
-        return watermarker.finalize_votes(merged, mark_length)
-
-    def detect_stream(
-        self,
-        watermarker: HierarchicalWatermarker,
-        chunks: Iterable[BinnedTable],
-        mark_length: int,
-    ) -> DetectionReport:
-        """Detect over a stream of chunk views of one table, merging votes.
-
-        The chunks must cover the table's rows in order (the streaming
-        ingest's contract).  Chunks are pulled from the iterable only as pool
-        slots free up (at most ``max_workers + 1`` in flight — a plain
-        ``Executor.map`` would drain the whole generator up front), so memory
-        stays bounded by in-flight chunks + the vote state regardless of file
-        size; votes are still merged in chunk order.
-        """
-        merged = self._merge_stream(
-            self._runner.collect_tables(
-                watermarker, chunks, mark_length, max_workers=self._max_workers
-            )
-        )
-        if merged is None:
-            merged = self._empty_votes(watermarker, mark_length)
-        return watermarker.finalize_votes(merged, mark_length)
-
     def detect_csv(
         self,
         watermarker: HierarchicalWatermarker,
@@ -217,27 +111,32 @@ class ShardExecutor:
     ) -> DetectionReport:
         """Detect straight off a CSV file, letting the runner own the ingest.
 
-        The thread runner parses chunk views on the calling thread exactly
-        like :meth:`detect_stream`; the process runner ships raw CSV text so
-        its workers parse too.  Either way the merged votes — and therefore
-        the report — are bit-identical to a serial detect over the
-        materialised table.  *on_rows* receives each chunk's row count (the
-        service reports total rows examined).
+        Every runner ships raw CSV chunks to its workers, which parse and
+        collect votes (:func:`~repro.service.runners.collect_raw_chunk`), so
+        the merged votes — and therefore the report — are bit-identical to a
+        serial detect over the materialised table.  A header-only file
+        finalises empty votes: a valid, all-zero report with zero coverage.
+        *on_rows* receives each chunk's row count (the service reports total
+        rows examined).
         """
-        merged = self._merge_stream(
-            self._runner.collect_csv(
-                watermarker,
-                path,
-                schema,
-                metadata,
-                mark_length,
-                chunk_size=chunk_size,
-                max_workers=self._max_workers,
-                on_rows=on_rows,
-            )
-        )
+        merged: DetectionVotes | None = None
+        for votes in self._runner.collect_csv(
+            watermarker,
+            path,
+            schema,
+            metadata,
+            mark_length,
+            chunk_size=chunk_size,
+            max_workers=self._max_workers,
+            on_rows=on_rows,
+        ):
+            # One span per chunk merged (the first chunk's is the trivial
+            # adoption) — pulling from the runner stays *outside* the span so
+            # worker wait time never masquerades as merge time.
+            with _stage_span("detect.merge"):
+                merged = votes if merged is None else merged.merge(votes)
         if merged is None:
-            merged = self._empty_votes(watermarker, mark_length)
+            merged = DetectionVotes(wmd_length=mark_length * watermarker.copies)
         return watermarker.finalize_votes(merged, mark_length)
 
     # ------------------------------------------------------------------ protect
@@ -337,77 +236,3 @@ class ShardExecutor:
         if merged is None:
             merged = [plan.registry.empty_evidence(claim) for claim in plan.claims]
         return merged
-
-    # ---------------------------------------------------------------- embedding
-    def embed(
-        self,
-        watermarker: HierarchicalWatermarker,
-        binned: BinnedTable,
-        mark: Mark,
-        *,
-        shards: int | None = None,
-    ) -> EmbeddingReport:
-        """Shard-parallel :meth:`HierarchicalWatermarker.embed` over *binned*.
-
-        Always thread-based regardless of the configured runner: embedding
-        returns the watermarked rows themselves, so crossing a process
-        boundary would serialise every row twice for no CPU win.
-        """
-        shards = self._effective_shards(len(binned.table), shards)
-        if shards <= 1:
-            return watermarker.embed(binned, mark)
-        pieces = shard_binned(binned, shards)
-        with ThreadPoolExecutor(max_workers=self._max_workers) as pool:
-            reports = list(pool.map(lambda piece: watermarker.embed(piece, mark), pieces))
-
-        merged_table = Table.concat(
-            binned.table.schema, (report.watermarked.table for report in reports)
-        )
-        watermarked = BinnedTable(
-            table=merged_table,
-            trees=binned.trees,
-            identifying_columns=binned.identifying_columns,
-            quasi_columns=binned.quasi_columns,
-            ultimate_nodes=dict(binned.ultimate_nodes),
-            maximal_nodes=dict(binned.maximal_nodes),
-            minimal_nodes=dict(binned.minimal_nodes),
-            k=binned.k,
-        )
-        first = reports[0]
-        return EmbeddingReport(
-            watermarked=watermarked,
-            mark=mark,
-            copies=first.copies,
-            columns=first.columns,
-            tuples_selected=sum(report.tuples_selected for report in reports),
-            cells_embedded=sum(report.cells_embedded for report in reports),
-            cells_changed=sum(report.cells_changed for report in reports),
-            cells_skipped_no_bandwidth=sum(report.cells_skipped_no_bandwidth for report in reports),
-        )
-
-    # ----------------------------------------------------------------- helpers
-    @staticmethod
-    def _empty_votes(watermarker: HierarchicalWatermarker, mark_length: int) -> DetectionVotes:
-        return DetectionVotes(wmd_length=mark_length * watermarker.copies)
-
-    @staticmethod
-    def _merge_stream(votes_stream: Iterable[DetectionVotes]) -> DetectionVotes | None:
-        merged: DetectionVotes | None = None
-        for votes in votes_stream:
-            # One span per chunk merged (the first chunk's is the trivial
-            # adoption) — pulling from the stream stays *outside* the span so
-            # worker wait time never masquerades as merge time.
-            with _stage_span("detect.merge"):
-                merged = votes if merged is None else merged.merge(votes)
-        return merged
-
-    def _effective_shards(self, n_rows: int, shards: int | None) -> int:
-        if shards is not None:
-            if shards < 1:
-                raise ValueError("shards must be at least 1")
-            # Never more shards than rows (an empty table runs serially), so
-            # shard_binned can never come back empty after the <= 1 guard.
-            return min(shards, max(1, n_rows))
-        if n_rows < 2 * MIN_ROWS_PER_SHARD:
-            return 1
-        return min(self._max_workers, max(1, n_rows // MIN_ROWS_PER_SHARD))

@@ -60,6 +60,7 @@ import time
 from typing import Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qs
 
+from repro.relational.io import CsvRecordError
 from repro.service.api import ProtectionService
 from repro.service.http.auth import AuthError, Authenticator
 from repro.service.http.metrics import ServiceMetrics
@@ -295,6 +296,11 @@ class ProtectionApp:
             except VaultError as error:
                 status = 409 if "already" in str(error) else 404
                 return _json_response(start_response, status, error_payload(str(error)))
+            except CsvRecordError as error:
+                # The spooled upload's temp path is the server's business:
+                # the client sees its own body's line.
+                located = error.at_line(error.line, "request body")
+                return _json_response(start_response, 400, error_payload(str(located)))
             except ValueError as error:
                 return _json_response(start_response, 400, error_payload(str(error)))
             except Exception as error:  # noqa: BLE001 - the service must answer, not die

@@ -1,62 +1,53 @@
-"""Pluggable shard runners: where `collect_votes` actually executes.
+"""Pluggable shard runners: where every verb's per-chunk work executes.
 
 The :class:`~repro.service.executor.ShardExecutor` owns the *semantics* of
-shard-parallel detection (split into contiguous shards, merge votes in shard
-order, finalise once — bit-identical to serial by construction).  This module
-owns the *mechanics*: a :class:`ShardRunner` maps
-:meth:`~repro.watermarking.hierarchical.HierarchicalWatermarker.collect_votes`
-over chunks and yields one
-:class:`~repro.watermarking.hierarchical.DetectionVotes` per chunk, **in
-chunk order**, with a bounded number in flight.
+chunk-parallel work (merge in chunk order, finalise once — bit-identical to
+serial by construction).  This module owns the *mechanics*, and it has one
+protocol: every runner task is a raw-chunk task.  A :class:`ShardRunner`
+splits a CSV file into quote-parity ``(header, lines)`` chunks in the
+calling thread (:func:`~repro.service.streaming.iter_raw_chunks`) and maps
+one of four picklable task functions over them on its pool, yielding one
+result per chunk, **in chunk order**, with a bounded number in flight:
 
-Three implementations, plus the default that picks between two of them:
+* :func:`aggregate_raw_chunk` — protect's pass 1 (:meth:`ShardRunner.aggregate_csv`):
+  mergeable :class:`ChunkAggregates`, per-leaf counts and the exact
+  identifier total, that the caller adds in chunk order;
+* :func:`protect_raw_chunk` — protect's pass 2 (:meth:`ShardRunner.protect_csv`):
+  once the binning plan is fixed, rewrite + embed is per-chunk independent,
+  so each chunk comes back as a :class:`ProtectedChunk` — its serialised
+  output CSV text plus its embedding counters — for the executor to splice
+  through a :class:`~repro.service.streaming.RowWriter`;
+* :func:`collect_raw_chunk` — detect (:meth:`ShardRunner.collect_csv`): the
+  chunk's :class:`~repro.watermarking.hierarchical.DetectionVotes`;
+* :func:`dispute_raw_chunk` — the Section 5.4 dispute
+  (:meth:`ShardRunner.dispute_csv`): parse, decrypt the identifying column
+  under each claimant's key, and return one mergeable
+  :class:`~repro.watermarking.ownership.ClaimEvidence` per claim.
 
-* :class:`ThreadRunner` — a
-  :class:`~concurrent.futures.ThreadPoolExecutor` whose workers share the
-  watermarker (and its digest caches).  Cheap to start, but Python hashing
-  over small payloads holds the GIL, so parallelism buys little CPU.
-* :class:`ProcessRunner` — a :class:`~concurrent.futures.ProcessPoolExecutor`.
-  The watermarker itself cannot cross the process boundary (live HMAC objects
-  don't pickle), so each task carries a picklable :class:`WatermarkerSpec`
-  from which every worker reconstructs — and caches — its own engine.  Chunks
-  travel *to* workers either as pickled :class:`BinnedTable` shards (the
-  in-memory path) or as **raw CSV text** (the streaming path, where workers
-  also do the parsing — the dominant cost — so detection scales with cores);
-  only small :class:`DetectionVotes` travel back, never rows.
-* :class:`RemoteRunner` — the multi-machine step: raw CSV chunks are POSTed
-  to a fleet of ``repro serve`` workers (``POST /internal/detect-votes``, see
-  :mod:`repro.service.wire` for the JSON shapes), each to the least-busy
-  worker, with failover and bounded retries; each response carries that
-  chunk's serialized :class:`DetectionVotes`, merged locally exactly like
-  the other runners' — which is what keeps a fleet detect bit-identical to
-  a serial one.
+Every task parses its own chunk (the dominant cost of detect), takes its
+engines from a per-process cache keyed by a picklable
+:class:`WatermarkerSpec` (live HMAC objects don't pickle), and locates a bad
+record by file and physical line.  So the local runners differ only in where
+the task runs:
+
+* :class:`ThreadRunner` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
+  tasks share the process-wide engine cache.  Cheap to start, but parsing
+  and hashing hold the interpreter lock, so parallelism buys little CPU.
+* :class:`ProcessRunner` — a :class:`~concurrent.futures.ProcessPoolExecutor`;
+  tasks travel pickled, each worker caches its own engines, and only the
+  task's result travels back.
 * :class:`DefaultRunner` — what ``runner=None`` resolves to: the process
-  runner for every raw-CSV map, run inline (no pool) for a one-chunk input or
-  one worker, and the thread runner for in-memory shards.
-
-The runners carry both passes of protect as well as detection.  Pass 1
-(:meth:`ShardRunner.aggregate_csv`) maps :func:`aggregate_raw_chunk` over raw
-chunks; each returns mergeable :class:`ChunkAggregates` — per-leaf counts and
-the exact identifier total — that the caller adds in chunk order.  Once the
-binning plan is fixed, rewrite + embed is per-chunk independent, so
-:meth:`ShardRunner.protect_csv` maps :func:`protect_raw_chunk` over the same
-quote-parity raw chunks and yields one :class:`ProtectedChunk` — the chunk's
-serialised output CSV text plus its embedding counters — per chunk, in chunk
-order, for the executor to splice through a
-:class:`~repro.service.streaming.RowWriter`.  Protect *does* ship rows back
-from process workers (its result is the rows), but the workers also carry the
-dominant costs — parsing, encryption, generalisation, embedding and CSV
-serialisation — so the trade the detect path refused for embed-only sharding
-pays off here.  The :class:`RemoteRunner` refuses protect: shipping every row
-across the network twice has no CPU story, and the vault-owning coordinator
-is the only process that may see raw identifiers.
-
-The Section 5.4 dispute rides the same raw-chunk map:
-:meth:`ShardRunner.dispute_csv` runs :func:`dispute_raw_chunk` per chunk —
-parse, decrypt the identifying column under each claimant's key, collect
-each claimant's votes — and yields one mergeable
-:class:`~repro.watermarking.ownership.ClaimEvidence` per claim per chunk.
-Claims carry encryption keys, so the remote fleet refuses disputes too.
+  runner, run inline (no pool) for a one-chunk input or one worker.
+* :class:`RemoteRunner` — the multi-machine step, detect only: raw CSV
+  chunks are POSTed to a fleet of ``repro serve`` workers
+  (``POST /internal/detect-votes``, see :mod:`repro.service.wire` for the
+  JSON shapes), each to the least-busy worker, with failover and bounded
+  retries; each response carries that chunk's serialized
+  :class:`DetectionVotes`, merged locally exactly like the other runners' —
+  which is what keeps a fleet detect bit-identical to a serial one.  It
+  refuses protect and dispute: protect's result *is* the rows (raw
+  identifiers in), and a dispute carries decryption keys; neither leaves the
+  vault's host.
 
 All runners are stateless across calls: pools live for one ``collect*``,
 ``aggregate*``, ``protect*`` or ``dispute*`` call (the remote fleet's failure bookkeeping
@@ -88,19 +79,8 @@ from repro.service.options import (
     FleetError,
     HTTPServiceError,
 )
-from repro.service.streaming import (
-    DEFAULT_CHUNK_SIZE,
-    iter_raw_chunks,
-    iter_tables,
-    render_csv_rows,
-)
-from repro.service.wire import (
-    binned_metadata_to_json,
-    metadata_to_json,
-    spec_to_json,
-    table_to_csv_lines,
-    votes_from_json,
-)
+from repro.service.streaming import DEFAULT_CHUNK_SIZE, iter_raw_chunks, render_csv_rows
+from repro.service.wire import metadata_to_json, spec_to_json, votes_from_json
 from repro.telemetry.trace import (
     PARENT_HEADER,
     TRACE_HEADER,
@@ -202,16 +182,17 @@ class WatermarkerSpec:
         )
 
 
-#: Per-worker-process watermarker cache: successive chunks for the same spec
-#: reuse one engine (and its digest caches) instead of re-deriving HMAC pads.
-#: Bounded: this used to live only in short-lived process-pool workers, but a
-#: long-running ``repro serve`` fleet worker hits it too (one spec per tenant
-#: key ever detected through the fleet), and engines retain raw key material —
-#: so old entries are evicted in insertion order past the cap.
+#: Per-process watermarker cache: successive chunks for the same spec reuse
+#: one engine (and its digest caches) instead of re-deriving HMAC pads.
+#: Bounded: a long-running process — a ``repro serve`` front running thread
+#: or inline tasks, or a fleet worker — hits it with one spec per tenant key
+#: it ever served, and engines retain raw key material, so old entries are
+#: evicted in insertion order past the cap.
 _WORKER_WATERMARKERS: dict[WatermarkerSpec, HierarchicalWatermarker] = {}
 _WORKER_WATERMARKER_CACHE_SIZE = 8
-# A fleet worker's threading WSGI server reaches this cache from concurrent
-# handler threads (process-pool workers run tasks serially and never contend).
+# Thread-runner pool threads, inline tasks of concurrent requests and a fleet
+# worker's handler threads all reach this cache concurrently (process-pool
+# workers run tasks serially and never contend).
 _WORKER_WATERMARKERS_LOCK = threading.Lock()
 
 
@@ -239,11 +220,6 @@ def _worker_watermarker(spec: WatermarkerSpec) -> HierarchicalWatermarker:
         return watermarker
 
 
-def _collect_binned(spec: WatermarkerSpec, piece: BinnedTable, mark_length: int) -> DetectionVotes:
-    """Process-pool task: votes over one pickled shard."""
-    return _worker_watermarker(spec).collect_votes(piece, mark_length)
-
-
 def collect_raw_chunk(
     spec: WatermarkerSpec,
     schema: TableSchema,
@@ -252,7 +228,7 @@ def collect_raw_chunk(
     lines: list[str],
     mark_length: int,
 ) -> tuple[int, DetectionVotes]:
-    """Process-pool task: parse one raw CSV chunk and collect its votes.
+    """Pool task: parse one raw CSV chunk and collect its votes.
 
     The chunk parses a column at a time into table columns
     (:meth:`~repro.relational.table.Table.from_csv_chunk`), with the values,
@@ -293,12 +269,6 @@ def _located_task(
         return task(header, lines)
     except CsvRecordError as error:
         raise error.at_line(error.line + offset, path) from None
-
-
-def _run_in_trace_scope(context: TraceContext | None, fn: Callable, /, *args):
-    """Run *fn* under a propagated same-process trace scope (thread pools)."""
-    with _trace_adopt(context):
-        return fn(*args)
 
 
 @dataclass(frozen=True)
@@ -583,11 +553,13 @@ def _bounded_ordered(
 
 
 class ShardRunner:
-    """Maps ``collect_votes`` over chunks; yields votes in chunk order.
+    """Maps a raw-chunk task over a CSV file; yields results in chunk order.
 
-    Subclasses override :meth:`_pool` and :meth:`_submit_binned` (and, when
-    they can do better than "parse in the caller", :meth:`collect_csv`).
-    Instances hold no pool state between calls.
+    Every verb is one of four task functions over one map
+    (:meth:`_map_raw_chunks`).  Local subclasses override only :attr:`name`,
+    :meth:`_pool` and :attr:`inline_serial`; the remote fleet replaces
+    :meth:`collect_csv` with chunk POSTs.  Instances hold no pool state
+    between calls.
     """
 
     name: str = "?"
@@ -609,32 +581,7 @@ class ShardRunner:
     def _pool(self, max_workers: int) -> Executor:
         raise NotImplementedError
 
-    def _submit_binned(
-        self,
-        pool: Executor,
-        watermarker: HierarchicalWatermarker,
-        piece: BinnedTable,
-        mark_length: int,
-    ):
-        raise NotImplementedError
-
     # ------------------------------------------------------------------- API
-    def collect_tables(
-        self,
-        watermarker: HierarchicalWatermarker,
-        chunks: Iterable[BinnedTable],
-        mark_length: int,
-        *,
-        max_workers: int,
-    ) -> Iterator[DetectionVotes]:
-        """One :class:`DetectionVotes` per chunk, in chunk order."""
-        with self._pool(max_workers) as pool:
-            yield from _bounded_ordered(
-                lambda piece: self._submit_binned(pool, watermarker, piece, mark_length),
-                chunks,
-                max_workers,
-            )
-
     def collect_csv(
         self,
         watermarker: HierarchicalWatermarker,
@@ -647,29 +594,21 @@ class ShardRunner:
         max_workers: int,
         on_rows: Callable[[int], None] | None = None,
     ) -> Iterator[DetectionVotes]:
-        """Votes per CSV chunk of *path*, parsed against *schema* + *metadata*.
+        """Votes per raw chunk of *path*, parsed against *schema* + *metadata*.
 
-        The base implementation parses in the calling thread (the thread
-        runner's workers share memory, so shipping parsed chunk views is
-        free); *on_rows* is invoked with each chunk's row count as it is
-        ingested.
+        Workers parse and collect (:func:`collect_raw_chunk`) with an engine
+        rebuilt from *watermarker*'s spec; the caller merges.  *on_rows* is
+        invoked with each chunk's row count, in chunk order.
         """
-
-        def views() -> Iterator[BinnedTable]:
-            chunks = iter_tables(path, schema, chunk_size)
-            while True:
-                scope = _stage_span("detect.parse")
-                with scope:
-                    chunk = next(chunks, None)
-                    if chunk is not None:
-                        scope.set(rows=len(chunk))
-                if chunk is None:
-                    return
-                if on_rows is not None:
-                    on_rows(len(chunk))
-                yield BinnedTable(table=chunk, **metadata)
-
-        yield from self.collect_tables(watermarker, views(), mark_length, max_workers=max_workers)
+        task = functools.partial(
+            collect_raw_chunk, WatermarkerSpec.of(watermarker), schema, metadata, mark_length=mark_length
+        )
+        for rows, votes in self._map_raw_chunks(
+            task, path, chunk_size=chunk_size, max_workers=max_workers
+        ):
+            if on_rows is not None:
+                on_rows(rows)
+            yield votes
 
     def aggregate_csv(
         self,
@@ -750,10 +689,10 @@ class ShardRunner:
         worker recorded are ingested into the caller's tracer.  A record that
         fails to parse or validate raises
         :class:`~repro.relational.io.CsvRecordError` naming *path* and its
-        physical line.  A runner that is not local refuses: every raw-chunk
-        task is keyed work.  A runner with :attr:`inline_serial` set runs a
-        one-chunk input, or a one-worker call, in the calling thread with no
-        pool at all.
+        physical line.  A runner that is not local refuses: the fleet runs
+        only detect, through its own :meth:`collect_csv`.  A runner with
+        :attr:`inline_serial` set runs a one-chunk input, or a one-worker
+        call, in the calling thread with no pool at all.
         """
         if not self.is_local:
             raise ValueError(LOCAL_ONLY_ERROR)
@@ -779,30 +718,21 @@ class ShardRunner:
 
 
 class ThreadRunner(ShardRunner):
-    """PR 2's behavior: a thread pool sharing the watermarker and its caches."""
+    """A thread pool: tasks share the process-wide engine cache, and the GIL."""
 
     name = "thread"
 
     def _pool(self, max_workers: int) -> Executor:
         return ThreadPoolExecutor(max_workers=max_workers)
 
-    def _submit_binned(self, pool, watermarker, piece, mark_length):
-        # Pool threads have no ambient trace scope; hand the submitting
-        # thread's scope across so worker-side stage spans record into the
-        # live tracer (a no-op untraced — the context is then None).
-        return pool.submit(
-            _run_in_trace_scope, _trace_capture(), watermarker.collect_votes, piece, mark_length
-        )
-
 
 class ProcessRunner(ShardRunner):
-    """GIL-free detection: engines rebuilt per worker, votes shipped back.
+    """GIL-free chunk work: engines rebuilt per worker, results shipped back.
 
-    Workers receive a :class:`WatermarkerSpec` (hash objects don't pickle)
-    plus either a pickled shard or a raw CSV chunk, and return only the
-    chunk's :class:`DetectionVotes`.  On the CSV path the workers also parse,
-    which is where most of a detect's cycles go — the caller's thread does
-    nothing but line-splitting and merging.
+    Workers receive each task pickled — a raw CSV chunk plus a
+    :class:`WatermarkerSpec` or plan (hash objects don't pickle) — and do
+    all of its parsing and hashing; the caller's thread does nothing but
+    line-splitting and merging.
     """
 
     name = "process"
@@ -810,59 +740,20 @@ class ProcessRunner(ShardRunner):
     def _pool(self, max_workers: int) -> Executor:
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    def _submit_binned(self, pool, watermarker, piece, mark_length):
-        return pool.submit(_collect_binned, WatermarkerSpec.of(watermarker), piece, mark_length)
-
-    def collect_csv(
-        self,
-        watermarker: HierarchicalWatermarker,
-        path: str,
-        schema: TableSchema,
-        metadata: Mapping[str, object],
-        mark_length: int,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-        on_rows: Callable[[int], None] | None = None,
-    ) -> Iterator[DetectionVotes]:
-        task = functools.partial(
-            collect_raw_chunk, WatermarkerSpec.of(watermarker), schema, metadata, mark_length=mark_length
-        )
-        for rows, votes in self._map_raw_chunks(
-            task, path, chunk_size=chunk_size, max_workers=max_workers
-        ):
-            if on_rows is not None:
-                on_rows(rows)
-            yield votes
-
 
 class DefaultRunner(ProcessRunner):
-    """The runner used when none is named: processes for CSV files, threads in memory.
+    """The runner used when none is named: processes, inline for one chunk.
 
-    Every raw-CSV map — protect's two passes, ``collect_csv`` and
+    Every raw-chunk map — protect's two passes, ``collect_csv`` and
     ``dispute_csv`` — runs on a process pool: its tasks parse, encrypt and
     hash, all under the interpreter lock on threads.  A one-chunk input or a
     one-worker call runs inline instead (:attr:`~ShardRunner.inline_serial`),
-    since starting an idle pool costs more than one chunk's work.  In-memory
-    shards (:meth:`collect_tables`) stay on threads, like
-    :meth:`~repro.service.executor.ShardExecutor.embed`: pickling the rows
-    would cost more than the votes save.  Output is identical to every other
-    local runner's; only where the work runs differs.
+    since starting an idle pool costs more than one chunk's work.  Output is
+    identical to every other local runner's; only where the work runs
+    differs.
     """
 
     inline_serial = True
-
-    def collect_tables(
-        self,
-        watermarker: HierarchicalWatermarker,
-        chunks: Iterable[BinnedTable],
-        mark_length: int,
-        *,
-        max_workers: int,
-    ) -> Iterator[DetectionVotes]:
-        return ThreadRunner().collect_tables(
-            watermarker, chunks, mark_length, max_workers=max_workers
-        )
 
 
 #: Consecutive failures after which a worker is deprioritised for new chunks.
@@ -1074,36 +965,6 @@ class RemoteRunner(ShardRunner):
                 on_rows(int(response["rows"]))
             yield votes_from_json(response["votes"])
 
-    def collect_tables(
-        self,
-        watermarker: HierarchicalWatermarker,
-        chunks: Iterable[BinnedTable],
-        mark_length: int,
-        *,
-        max_workers: int,
-    ) -> Iterator[DetectionVotes]:
-        """The in-memory path: shards are rendered to CSV text and shipped.
-
-        Requires cell values that round-trip their CSV text forms — true of
-        any table that was read from or written to a CSV, i.e. every
-        protected/suspect table the service handles.
-        """
-        spec_json = spec_to_json(WatermarkerSpec.of(watermarker))
-
-        def payloads() -> Iterator[tuple[int, dict]]:
-            for index, piece in enumerate(chunks):
-                header, lines = table_to_csv_lines(piece.table)
-                yield index, {
-                    "spec": spec_json,
-                    "metadata": binned_metadata_to_json(piece),
-                    "mark_length": mark_length,
-                    "header": header,
-                    "lines": lines,
-                }
-
-        for response in self._post_stream(payloads(), max_workers):
-            yield votes_from_json(response["votes"])
-
     #: Detect-only.  Detection ships small :class:`DetectionVotes` back, but
     #: protect's result *is* the rows and a dispute decrypts, so a fleet would
     #: see raw identifiers or decryption keys that its deliberately
@@ -1126,8 +987,8 @@ class RemoteRunner(ShardRunner):
 def resolve_runner(runner: "str | ShardRunner | None") -> ShardRunner:
     """A :class:`ShardRunner` instance from a name, an instance, or ``None``.
 
-    ``None`` gives the :class:`DefaultRunner` (raw CSV on processes, inline
-    for one chunk or one worker, in-memory shards on threads); ``"thread"``
+    ``None`` gives the :class:`DefaultRunner` (processes, inline for one
+    chunk or one worker); ``"thread"``
     the thread runner and ``"process"`` the process runner, each honoured for
     every call.  Instances pass through, which is how a :class:`RemoteRunner`
     (whose fleet urls and token cannot travel in a name) reaches the

@@ -2,13 +2,16 @@
 
 The readers wrap :mod:`repro.relational.io` (the single source of truth for
 cell parsing, including the ``[lower,upper)`` interval round trip) and add
-chunking: :func:`iter_tables` yields successive :class:`Table` objects of at
-most ``chunk_size`` rows, so downstream per-row work — binning's rewrite,
-embedding, vote collection — touches one bounded chunk at a time.  The
-:class:`RowWriter` is the emit-side counterpart: an incrementally fed CSV
-writer that the two-pass streaming protect keeps open across chunks.
+chunking: :func:`iter_raw_chunks` yields successive ``(header, lines)``
+chunks of raw CSV text, ``chunk_size`` lines each (a quoted record is never
+cut), which a runner's workers parse with
+:meth:`~repro.relational.table.Table.from_csv_chunk`, so downstream per-row
+work — binning's rewrite, embedding, vote collection — touches one bounded
+chunk at a time.  The :class:`RowWriter` is the
+emit-side counterpart: an incrementally fed CSV writer that the two-pass
+streaming protect keeps open across chunks.
 
-Memory profile: one chunk of parsed rows plus the constant frontier metadata,
+Memory profile: one window of chunks plus the constant frontier metadata,
 independent of file size.  Protect needs *two* passes over the input (the
 binning frontiers and the ownership statistic are global aggregates); detect
 needs one.
@@ -25,13 +28,12 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.relational.io import iter_csv_rows, write_csv_rows
 from repro.relational.schema import TableSchema
-from repro.relational.table import CsvParsePlan, Row, Table
+from repro.relational.table import Row, Table
 from repro.telemetry.trace import span as _stage_span
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "iter_rows",
-    "iter_tables",
     "iter_raw_chunks",
     "spool_stream",
     "write_rows",
@@ -50,44 +52,14 @@ def iter_rows(path: str, schema: TableSchema) -> Iterator[Row]:
     return iter_csv_rows(path, schema)
 
 
-def iter_tables(path: str, schema: TableSchema, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Iterator[Table]:
-    """Stream *path* as successive tables of at most *chunk_size* rows.
-
-    Chunk boundaries are invisible to the protection pipeline: binning's
-    rewrite, mark embedding and vote collection are all per-row computations,
-    so processing chunk tables in file order is exactly equivalent to
-    processing one full table.
-
-    Each chunk is one :meth:`~repro.relational.table.CsvParsePlan.parse`
-    call on the shared reader, which takes exactly *chunk_size* non-blank
-    records and decodes them a column at a time, with the parse semantics
-    of ``csv.DictReader`` + ``parse_row`` (asserted by
-    ``tests/relational/test_csv_decode.py``).
-    """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        fieldnames = next(reader, None)
-        if fieldnames is None:
-            return
-        plan = CsvParsePlan(fieldnames, schema)
-        while True:
-            chunk = plan.parse(reader, limit=chunk_size)
-            if chunk:
-                yield chunk
-            if len(chunk) < chunk_size:
-                return
-
-
 def iter_raw_chunks(
     path: str, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[tuple[str, list[str]]]:
     """Stream *path* as ``(header_line, data_lines)`` chunks of raw CSV text.
 
-    The unparsed counterpart of :func:`iter_tables`, for runners that move
-    parsing off the ingest thread: the main process only reads lines (cheap
-    I/O), each worker parses its own chunk with
+    Every runner task starts from one of these chunks, so parsing stays off
+    the ingest thread: the main process only reads lines (cheap I/O), and
+    each worker parses its own chunk with
     :meth:`~repro.relational.table.Table.from_csv_chunk` — a ``csv.reader``
     over the chunk prefixed with the shared header, so field mapping is
     identical to reading the file, decoded a column at a time.

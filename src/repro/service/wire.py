@@ -24,11 +24,6 @@ Three shapes:
   lists stay ordered, counters stay exact — deserialize(serialize(v)) == v,
   so merging remote votes finalises bit-identically to serial detection.
 
-:func:`table_to_csv_lines` renders an in-memory table into the same
-``(header, lines)`` chunk shape :func:`~repro.service.streaming.iter_raw_chunks`
-produces from a file, which is how the in-memory detect path reaches remote
-workers through the one chunk-shipping endpoint.
-
 Telemetry deliberately stays *outside* these shapes: a traced chunk request
 carries ``X-Repro-Trace-Id`` as a header and the worker returns its spans
 as a sibling ``"spans"`` key next to the serialized votes — so the vote
@@ -38,12 +33,8 @@ round trip is lossless with telemetry on, off, or half-configured (see
 
 from __future__ import annotations
 
-import csv
-import io
 from typing import Mapping
 
-from repro.binning.binner import BinnedTable
-from repro.relational.table import Table
 from repro.watermarking.hierarchical import DetectionVotes
 
 __all__ = [
@@ -53,8 +44,6 @@ __all__ = [
     "spec_from_json",
     "metadata_to_json",
     "metadata_from_json",
-    "binned_metadata_to_json",
-    "table_to_csv_lines",
 ]
 
 #: BinnedTable metadata fields that cross the wire (trees deliberately not).
@@ -178,43 +167,3 @@ def metadata_from_json(payload: Mapping, trees: Mapping[str, object]) -> dict:
                 for column, nodes in payload[name].items()
             }
     return out
-
-
-def binned_metadata_to_json(binned: BinnedTable) -> dict:
-    """:func:`metadata_to_json` over a live :class:`BinnedTable`'s own fields."""
-    return metadata_to_json(
-        {
-            "identifying_columns": binned.identifying_columns,
-            "quasi_columns": binned.quasi_columns,
-            "ultimate_nodes": binned.ultimate_nodes,
-            "maximal_nodes": binned.maximal_nodes,
-            "minimal_nodes": binned.minimal_nodes,
-            "k": binned.k,
-        }
-    )
-
-
-# ------------------------------------------------------------------- chunks
-def table_to_csv_lines(table: Table) -> tuple[str, list[str]]:
-    """Render *table* as the ``(header, lines)`` shape of a raw CSV chunk.
-
-    Cells serialise exactly like :class:`~repro.service.streaming.RowWriter`
-    (the csv module's ``str()`` coercion, ``\\r\\n`` terminators), so a worker
-    parsing the lines with the shared :mod:`repro.relational.io` machinery
-    reads back cell for cell what the in-memory table holds — provided the
-    values round-trip their CSV text forms, which every table that was ever
-    read from or written to a CSV does by construction.
-    """
-    names = table.schema.column_names
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-
-    def emit(values) -> str:
-        buffer.seek(0)
-        buffer.truncate()
-        writer.writerow(values)
-        return buffer.getvalue()
-
-    header = emit(names)
-    columns = table.column_sequences(names)
-    return header, [emit(values) for values in zip(*(columns[name] for name in names))]

@@ -98,3 +98,31 @@ def protection_framework(trees, depth1_metrics):
 def protected_small(protection_framework, medium_table):
     """The medium table taken through the full protect() pipeline."""
     return protection_framework.protect(medium_table)
+
+
+@pytest.fixture(scope="session")
+def detect_via_csv(tmp_path_factory):
+    """Detect over a binned table written to CSV, through ``ShardExecutor.detect_csv``.
+
+    Returns ``detect(executor, watermarker, binned, mark_length, *,
+    chunk_size=...) -> DetectionReport``: *binned*'s table goes to a fresh
+    CSV file and its metadata rides along, so the runners parse exactly the
+    cells the in-memory table holds.
+    """
+    import dataclasses
+
+    from repro.service.streaming import DEFAULT_CHUNK_SIZE
+
+    def detect(executor, watermarker, binned, mark_length, *, chunk_size=DEFAULT_CHUNK_SIZE):
+        path = str(tmp_path_factory.mktemp("detect-csv") / "suspect.csv")
+        binned.table.to_csv(path)
+        metadata = {
+            field.name: getattr(binned, field.name)
+            for field in dataclasses.fields(binned)
+            if field.name != "table"
+        }
+        return executor.detect_csv(
+            watermarker, path, binned.table.schema, metadata, mark_length, chunk_size=chunk_size
+        )
+
+    return detect

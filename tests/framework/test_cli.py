@@ -194,6 +194,34 @@ class TestExitCodesAndErrorJSON:
         payload = json.loads(capsys.readouterr().out)
         assert exit_code == 2 and "error" in payload
 
+    def test_bad_cell_in_third_chunk_is_located_on_every_runner(self, tmp_path, capsys):
+        """detect names the file and physical line whichever runner parsed the chunk."""
+        import csv
+
+        vault = str(tmp_path / "vault")
+        main(["vault", "init", vault])
+        sample = generate_medical_table(size=1_000, seed=55)
+        names = sample.schema.column_names
+        rows = [[row[name] for name in names] for row in sample.rows] * 25
+        rows[23_455] = list(rows[23_455])
+        rows[23_455][names.index("age")] = "not-an-age"  # line 23,457
+        bad = str(tmp_path / "bad.csv")
+        with open(bad, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([names, *rows])
+        capsys.readouterr()
+        errors = {}
+        for runner_args in ([], ["--runner", "thread"], ["--runner", "process", "--workers", "2"]):
+            exit_code = main(
+                ["detect", bad, "--vault", vault, "--dataset", "ref", "--json", *runner_args]
+            )
+            payload = json.loads(capsys.readouterr().out)
+            assert exit_code == 2
+            errors[" ".join(runner_args) or "default"] = payload["error"]
+        expected = (
+            f"{bad}, line 23457: column 'age': could not convert string to float: 'not-an-age'"
+        )
+        assert errors == dict.fromkeys(errors, expected)
+
     def test_missing_input_file_json_error(self, tmp_path, capsys):
         vault = str(tmp_path / "vault")
         main(["vault", "init", vault])

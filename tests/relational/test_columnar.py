@@ -45,8 +45,7 @@ from repro.service.runners import (
     collect_raw_chunk,
     protect_raw_chunk,
 )
-from repro.service.streaming import iter_tables, render_csv_rows
-from repro.service.wire import table_to_csv_lines
+from repro.service.streaming import iter_raw_chunks, render_csv_rows
 from repro.watermarking.hierarchical import HierarchicalWatermarker
 from repro.watermarking.keys import WatermarkKey
 from repro.watermarking.mark import random_mark
@@ -229,6 +228,12 @@ def _typed(rows, names=SCHEMA.column_names) -> list[tuple]:
 def _reference_parse(header: str, lines) -> list[dict]:
     """``csv.DictReader`` + ``parse_row``: the dict parse the column plan mirrors."""
     return [parse_row(raw, SCHEMA) for raw in csv.DictReader(itertools.chain([header], lines))]
+
+
+def _csv_chunk(table: Table) -> tuple[str, list[str]]:
+    """*table* as a raw ``(header, lines)`` CSV chunk in the emit dialect."""
+    header = ",".join(table.schema.column_names) + "\r\n"
+    return header, io.StringIO(render_csv_rows(table.schema, table), newline="").readlines()
 
 
 def _reference_render(table: Table) -> str:
@@ -588,24 +593,22 @@ class TestCsvEquivalence:
         assert table[0]["ward"] == "Trauma\nUnit"
 
     def test_chunk_parse_matches_dictreader(self, table):
-        header, lines = table_to_csv_lines(table)
+        header, lines = _csv_chunk(table)
         chunk = Table.from_csv_chunk(SCHEMA, header, lines)
         assert _typed(chunk) == _typed(_reference_parse(header, lines)) == _typed(ROWS)
 
-    def test_iter_tables_yields_chunks(self, table, tmp_path):
+    def test_raw_chunks_parse_to_table_chunks(self, table, tmp_path):
         path = tmp_path / "stream.csv"
         table.to_csv(str(path))
-        chunks = list(iter_tables(str(path), SCHEMA, chunk_size=4))
+        chunks = [
+            Table.from_csv_chunk(SCHEMA, header, lines)
+            for header, lines in iter_raw_chunks(str(path), chunk_size=4)
+        ]
         assert [len(chunk) for chunk in chunks] == [4, 4, 2]
         assert _typed(row for chunk in chunks for row in chunk) == _typed(ROWS)
 
     def test_render_csv_rows_matches_dictwriter(self, table):
         assert render_csv_rows(SCHEMA, table) == _reference_render(table)
-
-    def test_table_to_csv_lines_matches_dictwriter(self, table):
-        header, lines = table_to_csv_lines(table)
-        assert header == "id,ward,age\r\n"
-        assert "".join(lines) == _reference_render(table)
 
 
 # ------------------------------------------------------------- pinned outputs
@@ -649,13 +652,14 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("runner", ["thread", "process"])
     def test_runner_detects_match_the_pinned_detect(
-        self, protection_framework, protected_small, runner
+        self, protection_framework, protected_small, runner, detect_via_csv
     ):
-        report = ShardExecutor(2, runner=runner).detect(
+        report = detect_via_csv(
+            ShardExecutor(2, runner=runner),
             protection_framework.watermarker(),
             protected_small.watermarked,
             protection_framework.mark_length,
-            shards=3,
+            chunk_size=500,
         )
         assert _detect_fields(report) == PINNED_CLEAN_DETECT
 
@@ -668,7 +672,7 @@ class TestPinnedOutputs:
 
     def test_protect_raw_chunk(self, binned_small, medium_table):
         binned = binned_small.binned
-        header, lines = table_to_csv_lines(medium_table)
+        header, lines = _csv_chunk(medium_table)
         plan = ProtectPlan(
             spec=WatermarkerSpec.of(HierarchicalWatermarker(KEY, copies=3)),
             schema=medium_table.schema,
@@ -689,7 +693,7 @@ class TestPinnedOutputs:
     def test_collect_raw_chunk(self, binned_small):
         watermarker = HierarchicalWatermarker(KEY, copies=3)
         marked = watermarker.embed(binned_small.binned, MARK).watermarked
-        header, lines = table_to_csv_lines(marked.table)
+        header, lines = _csv_chunk(marked.table)
         # The in-memory embed and the protect chunk task write the same bytes.
         assert _sha("".join(lines)) == PINNED_PROTECT_RAW_CHUNK["text"]
         metadata = {"identifying_columns": marked.identifying_columns, **_binned_metadata(marked)}

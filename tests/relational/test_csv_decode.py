@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.relational.io import CsvRecordError, parse_cell, parse_row
 from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
 from repro.relational.table import Table
-from repro.service.streaming import iter_tables
+from repro.service.streaming import iter_raw_chunks
 
 SCHEMA = TableSchema(
     (
@@ -139,24 +139,34 @@ def test_chunk_decode_matches_dictreader_and_parse_row(chunk):
 
 @settings(max_examples=150, deadline=None)
 @given(chunk=chunks(), size=st.integers(1, 5))
-def test_iter_tables_takes_exactly_chunk_size_records(tmp_path_factory, chunk, size):
+def test_raw_chunks_parse_like_the_whole_file(tmp_path_factory, chunk, size):
+    """Raw chunks, each parsed on its own, give the whole file's rows and failure.
+
+    A failing record is located the way the runners locate it: its line in
+    the chunk plus the data lines of the chunks before.
+    """
     header, lines, _ = chunk
     path = tmp_path_factory.mktemp("chunks") / "chunk.csv"
     path.write_text(header + "".join(lines), encoding="utf-8")
     rows, failure = _reference(*chunk)
-    tables = iter_tables(str(path), SCHEMA, chunk_size=size)
-    if failure is not None:
-        record, reason, _ = failure
-        for _ in range(record // size):
-            assert len(next(tables)) == size
-        with pytest.raises(CsvRecordError) as error:
-            next(tables)
-        # The record index counts from the failing chunk's first record.
-        assert (error.value.reason, error.value.record) == (reason, record % size)
-        return
-    sizes = [len(table) for table in tables]
-    full, rest = divmod(len(rows), size)
-    assert sizes == [size] * full + ([rest] if rest else [])
+    raw = list(iter_raw_chunks(str(path), chunk_size=size))
+    assert "".join(line for _, chunk_lines in raw for line in chunk_lines) == "".join(lines)
+    assert all(len(chunk_lines) >= size for _, chunk_lines in raw[:-1])
+    tables, offset = [], 0
+    for chunk_header, chunk_lines in raw:
+        try:
+            tables.append(Table.from_csv_chunk(SCHEMA, chunk_header, chunk_lines))
+        except CsvRecordError as error:
+            assert failure is not None
+            _, reason, line = failure
+            assert (error.reason, error.line + offset) == (reason, line)
+            return
+        offset += len(chunk_lines)
+    assert failure is None
+    table = Table.concat(SCHEMA, tables)
+    assert len(table) == len(rows)
+    for name in SCHEMA.column_names:
+        assert _typed(table.column_sequences([name])[name]) == _typed(row[name] for row in rows)
 
 
 class TestFailureOrder:

@@ -16,20 +16,28 @@ from repro.relational.table import Table
 from repro.service.executor import ShardExecutor
 from repro.watermarking.mark import mark_loss
 
-# (runner, workers) triples every detection scenario runs on.  workers=1
-# falls back to the serial in-process path inside ShardExecutor.detect.
+# (runner, workers) pairs every detection scenario runs on.  The default
+# runner with one worker runs every chunk inline, in the calling thread.
 RUNNERS = [
-    pytest.param(("thread", 1), id="serial"),
+    pytest.param((None, 1), id="serial"),
     pytest.param(("thread", 4), id="thread"),
     pytest.param(("process", 4), id="process"),
 ]
 
+#: Rows per CSV chunk: every 1,500-row scenario table spans several chunks.
+CHUNK_SIZE = 400
 
-def detect_on(runner_workers, watermarker, binned, mark_length):
-    runner, workers = runner_workers
-    executor = ShardExecutor(workers, runner=runner)
-    shards = workers if workers > 1 else None
-    return executor.detect(watermarker, binned, mark_length, shards=shards)
+
+@pytest.fixture(scope="module")
+def detect_on(detect_via_csv):
+    """``detect_on(runner_workers, watermarker, binned, mark_length)`` over a CSV."""
+
+    def detect(runner_workers, watermarker, binned, mark_length):
+        runner, workers = runner_workers
+        executor = ShardExecutor(workers, runner=runner)
+        return detect_via_csv(executor, watermarker, binned, mark_length, chunk_size=CHUNK_SIZE)
+
+    return detect
 
 
 def concatenate(first: BinnedTable, second: BinnedTable) -> BinnedTable:
@@ -70,7 +78,7 @@ class TestIncrementalAppend:
 
     @pytest.mark.parametrize("runner_workers", RUNNERS)
     def test_mark_recovered_from_appended_table(
-        self, runner_workers, appended, protection_framework, protected_small
+        self, detect_on, runner_workers, appended, protection_framework, protected_small
     ):
         watermarker = protection_framework.watermarker()
         report = detect_on(runner_workers, watermarker, appended, len(protected_small.mark))
@@ -79,7 +87,7 @@ class TestIncrementalAppend:
 
     @pytest.mark.parametrize("runner_workers", RUNNERS)
     def test_delta_alone_still_carries_the_mark(
-        self, runner_workers, protection_framework, protected_small
+        self, detect_on, runner_workers, protection_framework, protected_small
     ):
         # A thief who republishes only the freshly appended rows still loses:
         # the delta batch alone recovers most of the mark.
@@ -103,7 +111,7 @@ class TestMixedAttackPipeline:
 
     @pytest.mark.parametrize("runner_workers", RUNNERS)
     def test_majority_vote_survives_the_pipeline(
-        self, runner_workers, attacked, protection_framework, protected_small
+        self, detect_on, runner_workers, attacked, protection_framework, protected_small
     ):
         watermarker = protection_framework.watermarker()
         report = detect_on(runner_workers, watermarker, attacked, len(protected_small.mark))
@@ -112,7 +120,7 @@ class TestMixedAttackPipeline:
 
     @pytest.mark.parametrize("runner_workers", RUNNERS)
     def test_soft_decoding_never_does_worse(
-        self, runner_workers, attacked, protection_framework, protected_small
+        self, detect_on, runner_workers, attacked, protection_framework, protected_small
     ):
         watermarker = protection_framework.watermarker()
         hard = detect_on(runner_workers, watermarker, attacked, len(protected_small.mark))
@@ -125,7 +133,9 @@ class TestMixedAttackPipeline:
         assert soft_loss <= hard_loss
         assert len(soft.bit_confidence) == len(protected_small.mark)
 
-    def test_runners_agree_bit_for_bit(self, attacked, protection_framework, protected_small):
+    def test_runners_agree_bit_for_bit(
+        self, detect_on, attacked, protection_framework, protected_small
+    ):
         watermarker = protection_framework.watermarker()
         reports = [
             detect_on(runner_workers.values[0], watermarker, attacked, len(protected_small.mark))

@@ -7,7 +7,9 @@ must equal the thread runner's byte for byte (protect) and field for field
 (detect, dispute); only where the work runs may differ.
 """
 
+import csv
 import filecmp
+import hashlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 
@@ -17,7 +19,7 @@ from repro.datagen.medical import generate_medical_table
 from repro.service import KeyVault, ProtectionService
 from repro.service import runners as runners_module
 from repro.service.executor import ShardExecutor
-from repro.watermarking.hierarchical import HierarchicalWatermarker
+from repro.service.streaming import DEFAULT_CHUNK_SIZE
 
 ROWS = 2_500
 CHUNK = 500
@@ -102,17 +104,79 @@ class TestNoPoolWhenNothingToShare:
             )
 
 
-class TestInMemoryShardsStayOnThreads:
-    def test_detect_builds_no_process_pool(self, protection_framework, protected_small, monkeypatch):
-        watermarker = HierarchicalWatermarker(protection_framework.watermark_key, copies=4)
+#: label -> (runner, workers): every way a local verb can run.
+IDENTITY_RUNNERS = {
+    "default": (None, 2),
+    "thread": ("thread", 2),
+    "process": ("process", 2),
+    "one-worker": (None, 1),
+}
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was constructed")
 
-        monkeypatch.setattr(runners_module, "ProcessPoolExecutor", refuse)
-        binned = protected_small.watermarked
-        report = ShardExecutor(2).detect(watermarker, binned, 20, shards=2)
-        assert report.mark == watermarker.detect(binned, 20).mark
+def _attacked(protected: str, path: str) -> str:
+    """*protected* after a CSV-level alteration + deletion attack."""
+    with open(protected, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    kept = [rows[0]]
+    for index, row in enumerate(rows[1:]):
+        if index % 10 < 3:  # subset deletion: drop 30%
+            continue
+        if index % 7 == 0:  # subset alteration: stomp a watermark column
+            row[3] = "Dr-Stomped"
+        kept.append(row)
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(kept)
+    return path
+
+
+#: Small enough that a chunk size of 1 stays quick on a process pool.
+MATRIX_ROWS = 150
+
+
+class TestRunnerIdentityMatrix:
+    @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK_SIZE])
+    def test_every_runner_gives_the_same_outputs(self, tmp_path, chunk_size):
+        """Protect bytes, clean and attacked detect reports and dispute verdicts agree."""
+        raw = str(tmp_path / "raw.csv")
+        generate_medical_table(size=MATRIX_ROWS, seed=43).to_csv(raw)
+        observed = {}
+        for label, (runner, workers) in IDENTITY_RUNNERS.items():
+            base = tmp_path / label
+            base.mkdir()
+            service = ProtectionService(
+                KeyVault.init(str(base / "vault")),
+                executor=ShardExecutor(workers, runner=runner),
+                chunk_size=chunk_size,
+            )
+            service.register_tenant(
+                "owner",
+                k=2,
+                epsilon=0,
+                eta=10,
+                encryption_key="matrix-ek",
+                watermark_secret="matrix-ws",
+            )
+            out = str(base / "protected.csv")
+            service.protect("owner", raw, out, dataset_id="d")
+            attacked = _attacked(out, str(base / "attacked.csv"))
+            detects = [
+                service.detect("owner", path, dataset_id="d").to_json() for path in (out, attacked)
+            ]
+            for report in detects:
+                assert report.pop("runner") == ("process" if runner is None else runner)
+                assert report.pop("shards") == workers
+            observed[label] = {
+                "protect_sha256": hashlib.sha256(open(out, "rb").read()).hexdigest(),
+                "detect": detects,
+                "dispute": [
+                    service.dispute("owner", path, dataset_id="d") for path in (out, attacked)
+                ],
+            }
+        reference = observed.pop("default")
+        assert [report["rows"] for report in reference["detect"]] == [MATRIX_ROWS, 105]
+        assert reference["dispute"][0].winner == "owner"
+        for label, outputs in observed.items():
+            assert outputs == reference, label
 
 
 def _engine_cache_lock_is_free() -> bool:

@@ -202,6 +202,33 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "error" in excinfo.value.payload or excinfo.value.message
 
+    @pytest.mark.parametrize("verb", ["protect", "detect-thread", "detect-process", "dispute"])
+    def test_bad_cell_is_located_in_the_request_body(
+        self, owner, protected_http, raw_csv, tmp_path, verb
+    ):
+        """A 400 names the upload's own line, never the server's spool path."""
+        client, _ = owner
+        lines = open(raw_csv, encoding="utf-8").read().splitlines(keepends=True)
+        # Data row 600 (line 601) lies in the third 256-row chunk.
+        cells = lines[600].split(",")
+        cells[1] = "not-an-age"
+        lines[600] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(HTTPServiceError) as excinfo:
+            if verb == "protect":
+                client.protect("owner", "bad", str(bad), str(tmp_path / "out.csv"))
+            elif verb == "dispute":
+                client.dispute("owner", "claims", str(bad))
+            else:
+                runner = verb.split("-")[1]
+                client.detect("owner", "claims", str(bad), workers=2, runner=runner)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"] == (
+            "request body, line 601: column 'age': "
+            "could not convert string to float: 'not-an-age'"
+        )
+
     def test_unknown_route_is_404(self, served):
         url, _, _ = served
         with pytest.raises(HTTPServiceError) as excinfo:

@@ -132,15 +132,21 @@ class TestFleetBitIdentity:
         assert _outcomes_equal(remote, thread)
         assert remote.rows == 14_000
 
-    def test_in_memory_executor_path(self, fleet, protection_framework, protected_small):
-        """collect_tables: in-memory shards reach the fleet as rendered CSV."""
+    def test_framework_protected_table_through_the_fleet(
+        self, fleet, protection_framework, protected_small, detect_via_csv
+    ):
+        """An in-library protected table, written out, detects on the fleet as serially."""
         from repro.watermarking.hierarchical import HierarchicalWatermarker
 
         watermarker = HierarchicalWatermarker(protection_framework.watermark_key, copies=4)
         binned = protected_small.watermarked
         serial = watermarker.detect(binned, 20)
-        remote = ShardExecutor(2, runner=RemoteRunner(fleet["urls"])).detect(
-            watermarker, binned, 20, shards=4
+        remote = detect_via_csv(
+            ShardExecutor(2, runner=RemoteRunner(fleet["urls"])),
+            watermarker,
+            binned,
+            20,
+            chunk_size=400,
         )
         assert serial.mark.bits == remote.mark.bits
         assert serial.wmd_bits == remote.wmd_bits

@@ -102,28 +102,96 @@ class TestWatermarkerSpec:
             _WORKER_WATERMARKERS.update(before)
 
 
+class TestSharedEngineCache:
+    def test_concurrent_thread_detects_under_eviction(self, protected_small, tmp_path):
+        """Thread detects share the engine cache with eviction in flight; every report holds.
+
+        More threads than cores, a tiny switch interval and more specs than
+        the cache holds, so engines are built, hit and evicted while other
+        threads are mid-detect.
+        """
+        import sys
+        import threading
+
+        from repro.service.runners import _WORKER_WATERMARKER_CACHE_SIZE, _WORKER_WATERMARKERS
+        from repro.watermarking.keys import WatermarkKey
+
+        binned = protected_small.watermarked.slice(0, 600)
+        path = str(tmp_path / "suspect.csv")
+        binned.table.to_csv(path)
+        metadata = {
+            name: getattr(binned, name)
+            for name in (
+                "trees", "identifying_columns", "quasi_columns", "ultimate_nodes", "maximal_nodes"
+            )
+        }
+        keys = [
+            WatermarkKey.from_secret(f"cache-stress-{index}", eta=25)
+            for index in range(_WORKER_WATERMARKER_CACHE_SIZE + 3)
+        ]
+        engines = [HierarchicalWatermarker(key, copies=4) for key in keys]
+        serial = [engine.detect(binned, 20) for engine in engines]
+        threads_count = 2 * (os.cpu_count() or 1) + 2
+        results: dict[tuple[int, int], object] = {}
+        failures: list[BaseException] = []
+
+        def run(thread_index):
+            try:
+                executor = ShardExecutor(2, runner="thread")
+                for step in range(len(engines)):
+                    index = (thread_index + step) % len(engines)
+                    results[thread_index, index] = executor.detect_csv(
+                        engines[index], path, binned.table.schema, metadata, 20, chunk_size=100
+                    )
+            except BaseException as error:  # noqa: BLE001 - reported by the main thread
+                failures.append(error)
+
+        before = dict(_WORKER_WATERMARKERS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _WORKER_WATERMARKERS.clear()
+            threads = [
+                threading.Thread(target=run, args=(index,), daemon=True)
+                for index in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            _WORKER_WATERMARKERS.clear()
+            _WORKER_WATERMARKERS.update(before)
+        assert not failures
+        assert len(results) == threads_count * len(engines)
+        for (_, index), report in results.items():
+            assert _detection_equal(serial[index], report)
+
+
 class TestProcessRunnerBitIdentity:
     """The acceptance bar: ProcessRunner == ThreadRunner == serial, bit for bit."""
 
-    def test_clean_table(self, watermarker, protected_small):
+    def test_clean_table(self, watermarker, protected_small, detect_via_csv):
         binned = protected_small.watermarked
         serial = watermarker.detect(binned, 20)
-        thread = ShardExecutor(4, runner="thread").detect(watermarker, binned, 20, shards=5)
-        process = ShardExecutor(2, runner="process").detect(watermarker, binned, 20, shards=5)
+        thread = detect_via_csv(
+            ShardExecutor(4, runner="thread"), watermarker, binned, 20, chunk_size=300
+        )
+        process = detect_via_csv(
+            ShardExecutor(2, runner="process"), watermarker, binned, 20, chunk_size=300
+        )
         assert _detection_equal(serial, thread)
         assert _detection_equal(serial, process)
 
-    def test_attacked_table(self, watermarker, protected_small):
+    def test_attacked_table(self, watermarker, protected_small, detect_via_csv):
         attacked = SubsetAlterationAttack(0.4, seed=3).run(protected_small.watermarked).attacked
         serial = watermarker.detect(attacked, 20)
-        process = ShardExecutor(2, runner="process").detect(watermarker, attacked, 20, shards=4)
+        process = detect_via_csv(
+            ShardExecutor(2, runner="process"), watermarker, attacked, 20, chunk_size=375
+        )
         assert _detection_equal(serial, process)
-
-    def test_empty_table(self, watermarker, protected_small):
-        empty = protected_small.watermarked.slice(0, 0)
-        report = ShardExecutor(2, runner="process").detect(watermarker, empty, 20, shards=4)
-        assert report.tuples_selected == 0 and len(report.mark) == 20
-        assert report.coverage == 0.0
 
 
 class TestServiceRunnerSelection:
@@ -165,15 +233,37 @@ class TestServiceRunnerSelection:
         assert outcome.runner == "process"
         assert outcome.mark_loss == 0.0
 
-    def test_worker_processes_see_identical_votes(self, watermarker, protected_small):
-        """collect_tables ships pickled shards; votes come back unchanged."""
-        pieces = [protected_small.watermarked.slice(0, 300), protected_small.watermarked.slice(300, 700)]
-        thread_votes = list(
-            ThreadRunner().collect_tables(watermarker, pieces, 20, max_workers=2)
-        )
-        process_votes = list(
-            ProcessRunner().collect_tables(watermarker, pieces, 20, max_workers=2)
-        )
+    def test_worker_processes_see_identical_votes(self, watermarker, protected_small, tmp_path):
+        """collect_csv ships raw chunks; per-chunk votes and row counts agree."""
+        binned = protected_small.watermarked
+        path = str(tmp_path / "suspect.csv")
+        binned.table.to_csv(path)
+        metadata = {
+            name: getattr(binned, name)
+            for name in (
+                "trees", "identifying_columns", "quasi_columns", "ultimate_nodes", "maximal_nodes"
+            )
+        }
+
+        def collect(runner):
+            rows = []
+            votes = list(
+                runner.collect_csv(
+                    watermarker,
+                    path,
+                    binned.table.schema,
+                    metadata,
+                    20,
+                    chunk_size=700,
+                    max_workers=2,
+                    on_rows=rows.append,
+                )
+            )
+            return rows, votes
+
+        thread_rows, thread_votes = collect(ThreadRunner())
+        process_rows, process_votes = collect(ProcessRunner())
+        assert thread_rows == process_rows == [700, 700, 100]
         assert [votes.votes for votes in thread_votes] == [votes.votes for votes in process_votes]
         assert [votes.tuples_selected for votes in thread_votes] == [
             votes.tuples_selected for votes in process_votes
@@ -220,3 +310,46 @@ class TestAdversarialCsvParity:
         assert process.mark == thread.mark
         assert process.tuples_selected == thread.tuples_selected
         assert process.positions_with_votes == thread.positions_with_votes
+
+
+def _with_bad_age(source: str, target: str, line: int) -> str:
+    """*source* with the ``age`` cell on physical *line* set to ``not-an-age``."""
+    with open(source, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    age = lines[0].rstrip("\r\n").split(",").index("age")
+    cells = lines[line - 1].split(",")
+    cells[age] = "not-an-age"
+    lines[line - 1] = ",".join(cells)
+    with open(target, "w", encoding="utf-8") as handle:
+        handle.writelines(lines)
+    return target
+
+
+class TestLocatedDetectFailures:
+    def test_every_runner_names_the_file_and_line(self, tmp_path):
+        """A bad suspect cell fails alike on every runner, wherever its chunk ran."""
+        from repro.datagen.medical import generate_medical_table
+        from repro.relational.io import CsvRecordError
+        from repro.service import KeyVault, ProtectionService
+
+        raw = str(tmp_path / "raw.csv")
+        generate_medical_table(size=2_500, seed=17).to_csv(raw)
+        # Line 1,457 is data row 1,456: the third 500-row chunk.
+        bad = _with_bad_age(raw, str(tmp_path / "bad.csv"), 1_457)
+        service = ProtectionService(KeyVault.init(str(tmp_path / "vault")), chunk_size=500)
+        service.register_tenant("owner", k=10, eta=20)
+        messages = {}
+        for label, runner, workers in (
+            ("inline", None, 1),
+            ("default", None, 2),
+            ("thread", "thread", 2),
+            ("process", "process", 2),
+        ):
+            with pytest.raises(CsvRecordError) as caught:
+                service.detect("owner", bad, dataset_id="ref", runner=runner, workers=workers)
+            messages[label] = str(caught.value)
+        expected = (
+            f"{bad}, line 1457: column 'age': could not convert string to float: 'not-an-age'"
+        )
+        assert messages == dict.fromkeys(messages, expected)
+

@@ -4,7 +4,8 @@ import pytest
 
 from repro.dht.node import Interval
 from repro.relational.schema import medical_schema
-from repro.service.streaming import RowWriter, iter_rows, iter_tables, write_rows
+from repro.relational.table import Table
+from repro.service.streaming import RowWriter, iter_raw_chunks, iter_rows, write_rows
 
 
 @pytest.fixture(scope="module")
@@ -14,26 +15,30 @@ def raw_csv(tmp_path_factory, small_table):
     return str(path)
 
 
+def _tables(path, chunk_size):
+    """Each raw chunk of *path* parsed as a runner task parses it."""
+    return [
+        Table.from_csv_chunk(medical_schema(), header, lines)
+        for header, lines in iter_raw_chunks(path, chunk_size)
+    ]
+
+
 class TestChunkedIngest:
     def test_chunks_cover_rows_in_order(self, raw_csv, small_table):
-        chunks = list(iter_tables(raw_csv, medical_schema(), chunk_size=64))
+        chunks = _tables(raw_csv, chunk_size=64)
         assert [len(chunk) for chunk in chunks[:-1]] == [64] * (len(chunks) - 1)
         assert sum(len(chunk) for chunk in chunks) == len(small_table)
         streamed = [row for chunk in chunks for row in chunk]
         assert streamed == list(small_table.rows)
 
     def test_exact_multiple_has_no_empty_tail(self, raw_csv):
-        chunks = list(iter_tables(raw_csv, medical_schema(), chunk_size=100))
+        chunks = _tables(raw_csv, chunk_size=100)
         assert [len(chunk) for chunk in chunks] == [100, 100, 100, 100]
 
     def test_chunk_size_one_and_huge(self, raw_csv, small_table):
-        assert sum(1 for _ in iter_tables(raw_csv, medical_schema(), chunk_size=1)) == len(small_table)
-        whole = list(iter_tables(raw_csv, medical_schema(), chunk_size=10**6))
+        assert len(_tables(raw_csv, chunk_size=1)) == len(small_table)
+        whole = _tables(raw_csv, chunk_size=10**6)
         assert len(whole) == 1 and len(whole[0]) == len(small_table)
-
-    def test_invalid_chunk_size(self, raw_csv):
-        with pytest.raises(ValueError):
-            next(iter_tables(raw_csv, medical_schema(), chunk_size=0))
 
     def test_iter_rows_matches_table(self, raw_csv, small_table):
         assert list(iter_rows(raw_csv, medical_schema())) == list(small_table.rows)
@@ -73,7 +78,6 @@ class TestRawChunks:
         import itertools
 
         from repro.relational.io import parse_row
-        from repro.service.streaming import iter_raw_chunks
 
         schema = medical_schema()
         parsed = []
@@ -84,8 +88,6 @@ class TestRawChunks:
         assert parsed == list(small_table.rows)
 
     def test_empty_file_yields_nothing(self, tmp_path):
-        from repro.service.streaming import iter_raw_chunks
-
         empty = tmp_path / "empty.csv"
         empty.write_text("")
         assert list(iter_raw_chunks(str(empty))) == []
@@ -94,8 +96,6 @@ class TestRawChunks:
         assert list(iter_raw_chunks(str(header_only))) == []
 
     def test_invalid_chunk_size(self, raw_csv):
-        from repro.service.streaming import iter_raw_chunks
-
         with pytest.raises(ValueError):
             next(iter_raw_chunks(raw_csv, chunk_size=0))
 
@@ -123,8 +123,6 @@ class TestQuotedNewlineChunking:
     def test_boundary_never_splits_a_quoted_record(self, tmp_path):
         import csv
         import itertools
-
-        from repro.service.streaming import iter_raw_chunks
 
         path = tmp_path / "tricky.csv"
         with open(path, "w", newline="", encoding="utf-8") as handle:

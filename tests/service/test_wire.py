@@ -9,12 +9,10 @@ from repro.relational.schema import medical_schema
 from repro.service.api import _suspect_metadata
 from repro.service.runners import WatermarkerSpec
 from repro.service.wire import (
-    binned_metadata_to_json,
     metadata_from_json,
     metadata_to_json,
     spec_from_json,
     spec_to_json,
-    table_to_csv_lines,
     votes_from_json,
     votes_to_json,
 )
@@ -114,12 +112,23 @@ class TestMetadataRoundTrip:
         assert back["k"] == metadata["k"]
         assert back["trees"] == {column: trees[column] for column in metadata["quasi_columns"]}
 
-    def test_binned_metadata_matches_suspect_form(self, protected_small, trees):
-        payload = _through_json(binned_metadata_to_json(protected_small.watermarked))
-        back = metadata_from_json(payload, trees)
-        assert back["quasi_columns"] == protected_small.watermarked.quasi_columns
-        assert back["ultimate_nodes"] == dict(protected_small.watermarked.ultimate_nodes)
-        assert back["k"] == protected_small.watermarked.k
+    def test_binned_metadata_survives_with_trees_reattached(self, protected_small, trees):
+        binned = protected_small.watermarked
+        fields = (
+            "identifying_columns",
+            "quasi_columns",
+            "ultimate_nodes",
+            "maximal_nodes",
+            "minimal_nodes",
+            "k",
+        )
+        metadata = {name: getattr(binned, name) for name in fields}
+        back = metadata_from_json(_through_json(metadata_to_json(metadata)), trees)
+        assert back["quasi_columns"] == binned.quasi_columns
+        assert back["identifying_columns"] == binned.identifying_columns
+        for name in ("ultimate_nodes", "maximal_nodes", "minimal_nodes"):
+            assert back[name] == dict(getattr(binned, name))
+        assert back["k"] == binned.k
 
     def test_missing_tree_is_fleet_configuration_error(self):
         ontology = dict(standard_ontology().items())
@@ -127,24 +136,3 @@ class TestMetadataRoundTrip:
         payload = metadata_to_json(metadata)
         with pytest.raises(ValueError, match="fleet members must share"):
             metadata_from_json(payload, {"age": ontology["age"]})
-
-
-class TestTableToCsvLines:
-    def test_round_trips_through_the_shared_parser(self, protected_small):
-        """Rendered lines parse back cell for cell via the io machinery."""
-        import csv
-        import itertools
-
-        from repro.relational.io import parse_row
-        from repro.relational.table import Table
-
-        table = protected_small.watermarked.table
-        header, lines = table_to_csv_lines(table)
-        assert len(lines) == len(table)
-        schema = table.schema
-        rebuilt = Table(schema)
-        for raw in csv.DictReader(itertools.chain([header], lines)):
-            rebuilt.insert(parse_row(raw, schema))
-        assert list(rebuilt.rows) == [
-            {name: row[name] for name in schema.column_names} for row in table
-        ]
