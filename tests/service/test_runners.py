@@ -27,6 +27,12 @@ def _detection_equal(left, right):
     )
 
 
+def _suspect_metadata(binned):
+    """The detect metadata of *binned*, as ``collect_csv`` takes it."""
+    fields = ("trees", "identifying_columns", "quasi_columns", "ultimate_nodes", "maximal_nodes")
+    return {name: getattr(binned, name) for name in fields}
+
+
 @pytest.fixture(scope="module")
 def watermarker(protection_framework):
     return HierarchicalWatermarker(protection_framework.watermark_key, copies=4)
@@ -119,12 +125,7 @@ class TestSharedEngineCache:
         binned = protected_small.watermarked.slice(0, 600)
         path = str(tmp_path / "suspect.csv")
         binned.table.to_csv(path)
-        metadata = {
-            name: getattr(binned, name)
-            for name in (
-                "trees", "identifying_columns", "quasi_columns", "ultimate_nodes", "maximal_nodes"
-            )
-        }
+        metadata = _suspect_metadata(binned)
         keys = [
             WatermarkKey.from_secret(f"cache-stress-{index}", eta=25)
             for index in range(_WORKER_WATERMARKER_CACHE_SIZE + 3)
@@ -238,12 +239,7 @@ class TestServiceRunnerSelection:
         binned = protected_small.watermarked
         path = str(tmp_path / "suspect.csv")
         binned.table.to_csv(path)
-        metadata = {
-            name: getattr(binned, name)
-            for name in (
-                "trees", "identifying_columns", "quasi_columns", "ultimate_nodes", "maximal_nodes"
-            )
-        }
+        metadata = _suspect_metadata(binned)
 
         def collect(runner):
             rows = []
