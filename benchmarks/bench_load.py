@@ -1,4 +1,4 @@
-"""Closed-loop load benchmark: the pre-fork server vs the threading baseline.
+"""Closed-loop load benchmark: mixed tenant traffic against the pre-fork server.
 
 A fleet of concurrent tenants hammers one server with the real traffic mix —
 ``protect`` uploads, ``detect`` round trips and ``status`` polls — each
@@ -12,20 +12,11 @@ re-asserts the serving-layer invariants *under concurrency*:
 * every detect report is **bit-identical** to the in-process reference;
 * no response is a 5xx other than deliberate ``503`` load sheds.
 
-Two servers are driven with the identical workload:
-
-* **threading** — the legacy ``wsgiref`` server (one request per
-  connection), in-process, the PR-before baseline;
-* **prefork** — the real thing: a ``repro serve`` subprocess with
-  ``--processes`` workers sharing the port via ``SO_REUSEPORT`` and
-  keep-alive connections (``REPRO_LOAD_PROCESSES``, default CPU count
-  capped at 4).
-
-The ISSUE's acceptance bar — pre-fork ≥ 2× rows/s with no worse p99 — is
-asserted only at ≥ 32 clients on ≥ 4 cores (like ``bench_service``'s
-multi-core bars); smaller runs record the ratio in ``extra_info`` and print
-a note.  Knobs: ``REPRO_LOAD_CLIENTS`` (default 6), ``REPRO_LOAD_OPS``
-(requests per client, default 4), ``REPRO_LOAD_PROCESSES``.  The dataset is
+The server is a real ``repro serve`` subprocess with ``--processes``
+workers sharing the port via ``SO_REUSEPORT`` and keep-alive connections
+(``REPRO_LOAD_PROCESSES``, default CPU count capped at 4).  Knobs:
+``REPRO_LOAD_CLIENTS`` (default 6), ``REPRO_LOAD_OPS`` (requests per
+client, default 4), ``REPRO_LOAD_PROCESSES``.  The dataset is
 ``min(REPRO_BENCH_SIZE, 1200)`` rows — serving concurrency is what is being
 measured, not table size.
 
@@ -58,8 +49,7 @@ import pytest
 
 from repro.datagen.medical import generate_medical_table
 from repro.service import KeyVault, ProtectionService
-from repro.service.http import HTTPServiceError, ProtectionApp, ServiceClient
-from repro.service.http.server import serve_in_thread
+from repro.service.http import HTTPServiceError, ServiceClient
 
 #: Serving concurrency is the subject; a big table would just drown the
 #: latency signal in parse time.
@@ -326,70 +316,6 @@ def test_load_prefork_closed_loop(benchmark, load_env):
     )
 
 
-def test_load_prefork_beats_threading(benchmark, load_env):
-    """The acceptance bar: ≥ 2× rows/s and no worse p99 — on ≥ 4 cores, ≥ 32 clients."""
-    from conftest import run_once
-
-    clients, ops = _load_clients(), _load_ops()
-
-    service = ProtectionService(KeyVault(load_env.vault_dir))
-    server, threading_url = serve_in_thread(ProtectionApp(service))
-    try:
-        threading_result = run_load(
-            load_env, threading_url, clients=clients, ops_per_client=ops
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-    assert_load_invariants(load_env, threading_result)
-
-    proc, prefork_url = start_prefork(load_env.vault_dir, _load_processes())
-    try:
-        prefork_result = run_load(
-            load_env, prefork_url, clients=clients, ops_per_client=ops
-        )
-    finally:
-        code = stop_prefork(proc)
-    assert code == 0
-    assert_load_invariants(load_env, prefork_result)
-
-    ratio = (
-        prefork_result.rows_per_second / threading_result.rows_per_second
-        if threading_result.rows_per_second
-        else 0.0
-    )
-    threading_p99 = threading_result.percentile(0.99)
-    prefork_p99 = prefork_result.percentile(0.99)
-    run_once(benchmark, lambda: None)  # carrier for extra_info, like bench_service
-    benchmark.extra_info.update(
-        {
-            "rows": load_env.rows,
-            "clients": clients,
-            "processes": _load_processes(),
-            "threading_rows_per_second": round(threading_result.rows_per_second),
-            "prefork_rows_per_second": round(prefork_result.rows_per_second),
-            "prefork_over_threading": round(ratio, 3),
-            "threading_p99_seconds": round(threading_p99, 6),
-            "prefork_p99_seconds": round(prefork_p99, 6),
-        }
-    )
-    cores = os.cpu_count() or 1
-    if clients >= 32 and cores >= 4:
-        assert ratio >= 2.0, (
-            f"pre-fork must be >= 2x threading at {clients} clients on "
-            f"{cores} cores; measured {ratio:.2f}x"
-        )
-        assert prefork_p99 <= threading_p99 * 1.05, (
-            f"pre-fork p99 must not regress: {prefork_p99:.3f}s vs "
-            f"threading {threading_p99:.3f}s"
-        )
-    else:
-        benchmark.extra_info["note"] = (
-            f"acceptance bar (>=2x, p99 no worse) asserted only at >=32 clients "
-            f"on >=4 cores; this run: {clients} clients, {cores} cores — recorded only"
-        )
-
-
 # ----------------------------------------------------------------- standalone
 def _standalone() -> None:
     rows = _table_rows()
@@ -398,27 +324,18 @@ def _standalone() -> None:
     with tempfile.TemporaryDirectory() as base:
         env = build_env(base, rows)
         print(f"closed-loop load: {rows} rows, {ops} ops/client, mixed protect/detect/status")
-        print(f"{'clients':>8} {'server':>10} {'rows/s':>10} {'p50 ms':>9} {'p99 ms':>9} {'503s':>5}")
+        print(f"{'clients':>8} {'rows/s':>10} {'p50 ms':>9} {'p99 ms':>9} {'503s':>5}")
         for clients in clients_sweep:
-            service = ProtectionService(KeyVault(env.vault_dir))
-            server, url = serve_in_thread(ProtectionApp(service))
-            threading_result = run_load(env, url, clients=clients, ops_per_client=ops)
-            server.shutdown()
-            server.server_close()
-            assert_load_invariants(env, threading_result)
             proc, url = start_prefork(env.vault_dir, _load_processes())
-            prefork_result = run_load(env, url, clients=clients, ops_per_client=ops)
+            result = run_load(env, url, clients=clients, ops_per_client=ops)
             assert stop_prefork(proc) == 0
-            assert_load_invariants(env, prefork_result)
-            for name, result in (("threading", threading_result), ("prefork", prefork_result)):
-                print(
-                    f"{clients:>8} {name:>10} {result.rows_per_second:>10.0f} "
-                    f"{result.percentile(0.5) * 1e3:>9.1f} "
-                    f"{result.percentile(0.99) * 1e3:>9.1f} "
-                    f"{result.statuses.get(503, 0):>5}"
-                )
-            ratio = prefork_result.rows_per_second / max(threading_result.rows_per_second, 1e-9)
-            print(f"{'':>8} {'ratio':>10} {ratio:>10.2f}x")
+            assert_load_invariants(env, result)
+            print(
+                f"{clients:>8} {result.rows_per_second:>10.0f} "
+                f"{result.percentile(0.5) * 1e3:>9.1f} "
+                f"{result.percentile(0.99) * 1e3:>9.1f} "
+                f"{result.statuses.get(503, 0):>5}"
+            )
 
 
 if __name__ == "__main__":

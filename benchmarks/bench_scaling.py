@@ -1,12 +1,13 @@
-"""Scaling benchmark: batched engine + copy-on-write tables vs the seed path.
+"""Scaling benchmark: the batched hash engine vs the seed's scalar arithmetic.
 
 Measures the throughput of the three hot pipelines on a table of
 ``REPRO_BENCH_SIZE`` rows (default 2 500; the paper's scale is 20 000):
 
 * hierarchical **embed + detect** — batched :class:`WatermarkHashEngine`
   (HMAC pads built once, one ident serialisation per tuple, digest cache
-  shared between embed and detect) versus the seed's scalar per-call path
-  (``batch=False``), which are bit-identical by construction;
+  shared between embed and detect) versus the seed's scalar per-call
+  arithmetic (:class:`ScalarWatermarkEngine`, injected through ``engine=``),
+  which are bit-identical by construction;
 * the four **attack simulators**, which run on copy-on-write tables;
 * the **protect hot path** — binning rewrite (identifier encryption +
   ultimate generalisation) followed by the tuple framing sweep
@@ -37,6 +38,7 @@ from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import DeletionMode, SubsetDeletionAttack
 from repro.attacks.generalization_attack import GeneralizationAttack
 from repro.binning.binner import BinnedTable, rewrite_table
+from repro.crypto.batch import ScalarWatermarkEngine
 from repro.crypto.cipher import FieldEncryptor
 from repro.experiments.config import ExperimentConfig, build_workload
 from repro.watermarking.hierarchical import HierarchicalWatermarker
@@ -44,13 +46,14 @@ from repro.watermarking.hierarchical import HierarchicalWatermarker
 TIMING_ROUNDS = 3
 
 
-def _embed_detect(workload, *, batch: bool):
+def _embed_detect(workload, *, scalar: bool = False):
     """One full embed + detect pass; returns the detection report."""
     config = workload.config
+    key = workload.framework.watermark_key
     watermarker = HierarchicalWatermarker(
-        workload.framework.watermark_key,
+        key,
         copies=config.effective_copies(len(workload.trees)),
-        batch=batch,
+        engine=ScalarWatermarkEngine(key) if scalar else None,
     )
     binned = workload.protected.binning_result.binned
     embedding = watermarker.embed(binned, workload.protected.mark)
@@ -113,9 +116,9 @@ def scaling_workload(bench_config):
 
 
 def test_hierarchical_embed_detect_batched(benchmark, scaling_workload):
-    _embed_detect(scaling_workload, batch=True)  # warm-up: caches + allocator
+    _embed_detect(scaling_workload)  # warm-up: caches + allocator
     report = benchmark.pedantic(
-        _embed_detect, args=(scaling_workload,), kwargs={"batch": True},
+        _embed_detect, args=(scaling_workload,),
         rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1,
     )
     benchmark.extra_info["rows"] = len(scaling_workload.table)
@@ -124,7 +127,7 @@ def test_hierarchical_embed_detect_batched(benchmark, scaling_workload):
 
 def test_hierarchical_embed_detect_scalar_seed_path(benchmark, scaling_workload):
     report = benchmark.pedantic(
-        _embed_detect, args=(scaling_workload,), kwargs={"batch": False},
+        _embed_detect, args=(scaling_workload,), kwargs={"scalar": True},
         rounds=TIMING_ROUNDS, iterations=1, warmup_rounds=1,
     )
     benchmark.extra_info["rows"] = len(scaling_workload.table)
@@ -133,14 +136,14 @@ def test_hierarchical_embed_detect_scalar_seed_path(benchmark, scaling_workload)
 
 def test_embed_detect_speedup_and_equivalence(benchmark, scaling_workload):
     """Batched vs seed-scalar: bit-identical output, >= 3x at paper scale."""
-    scalar_report = _embed_detect(scaling_workload, batch=False)
-    batched_report = _embed_detect(scaling_workload, batch=True)
+    scalar_report = _embed_detect(scaling_workload, scalar=True)
+    batched_report = _embed_detect(scaling_workload)
     assert batched_report.mark.bits == scalar_report.mark.bits
     assert batched_report.wmd_bits == scalar_report.wmd_bits
     assert batched_report.votes_cast == scalar_report.votes_cast
 
-    scalar_time = _best_of(lambda: _embed_detect(scaling_workload, batch=False))
-    batched_time = _best_of(lambda: _embed_detect(scaling_workload, batch=True))
+    scalar_time = _best_of(lambda: _embed_detect(scaling_workload, scalar=True))
+    batched_time = _best_of(lambda: _embed_detect(scaling_workload))
     speedup = scalar_time / batched_time
     benchmark.extra_info["rows"] = len(scaling_workload.table)
     benchmark.extra_info["scalar_seconds"] = round(scalar_time, 4)
@@ -187,9 +190,9 @@ def main() -> int:
     for size in _standalone_sizes():
         config = ExperimentConfig(table_size=size, seed=2005, k=20, eta=50)
         workload = build_workload(config)
-        _embed_detect(workload, batch=True)  # warm-up
-        scalar_time = _best_of(lambda: _embed_detect(workload, batch=False))
-        batched_time = _best_of(lambda: _embed_detect(workload, batch=True))
+        _embed_detect(workload)  # warm-up
+        scalar_time = _best_of(lambda: _embed_detect(workload, scalar=True))
+        batched_time = _best_of(lambda: _embed_detect(workload))
         attack_time = _best_of(lambda: _run_attacks(workload.protected.watermarked))
         rewrite_time = _best_of(lambda: _protect_hot_path(workload, workload.table))
         print(

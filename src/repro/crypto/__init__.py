@@ -35,6 +35,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "TupleCoordinates": ".batch",
         "WatermarkHashEngine": ".batch",
         "ScalarWatermarkEngine": ".batch",
-        "make_engine": ".batch",
     },
 )

@@ -24,8 +24,9 @@ This module removes that per-call overhead in three ways:
 
 :class:`ScalarWatermarkEngine` implements the same interface with the seed's
 per-call arithmetic; it is the reference the equivalence suite and the scaling
-benchmark compare against.  Both engines are bit-identical by construction —
-they compute the very same digests — which the golden tests assert end to end.
+benchmark compare against, injected through the watermarkers' ``engine=``.
+Both engines are bit-identical by construction — they compute the very same
+digests — which the golden tests assert end to end.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ __all__ = [
     "TupleCoordinates",
     "WatermarkHashEngine",
     "ScalarWatermarkEngine",
-    "make_engine",
 ]
 
 #: Canonical serialisation shared with the scalar path (re-exported so batch
@@ -370,7 +370,8 @@ class ScalarWatermarkEngine:
     """Reference engine: one fresh HMAC per call, exactly like the seed.
 
     Kept as the ground truth for the equivalence suite and as the baseline
-    the scaling benchmark measures the batched engine against.
+    the scaling benchmark measures the batched engine against; both inject it
+    through ``HierarchicalWatermarker(engine=...)``.
     """
 
     def __init__(self, key: WatermarkKey) -> None:
@@ -405,8 +406,3 @@ class ScalarWatermarkEngine:
             _ScalarCoordinates(self, ident, wmd_length) if self.is_selected(ident) else None
             for ident in idents
         ]
-
-
-def make_engine(key: WatermarkKey, *, batch: bool = True) -> "WatermarkHashEngine | ScalarWatermarkEngine":
-    """The engine for *key*: batched by default, scalar for the seed path."""
-    return WatermarkHashEngine(key) if batch else ScalarWatermarkEngine(key)

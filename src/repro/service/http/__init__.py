@@ -14,12 +14,12 @@ the :class:`~repro.service.vault.KeyVault`:
   against the vault's token digests (401 missing / 403 wrong);
 * :mod:`repro.service.http.metrics` — the per-process counters behind
   ``GET /metrics`` (request/response counts, rows, per-runner timings);
-* :mod:`repro.service.http.prefork` — the production serving layer: a
-  pre-fork multi-process server (``SO_REUSEPORT`` port sharing, HTTP/1.1
-  keep-alive, bounded admission queue with 503 sheds, per-tenant rate
-  limiting, graceful SIGTERM drain) behind the ``repro serve`` entry point;
-* :mod:`repro.service.http.server` — the legacy threading ``wsgiref``
-  server (one request per connection), kept for embedding and tests;
+* :mod:`repro.service.http.prefork` — the one serving layer: a pre-fork
+  multi-process server (``SO_REUSEPORT`` port sharing, HTTP/1.1 keep-alive,
+  bounded admission queue with 503 sheds, per-tenant rate limiting,
+  graceful SIGTERM drain) behind the ``repro serve`` entry point, plus
+  :func:`~repro.service.http.prefork.serve_worker_in_thread`, one in-process
+  worker for tests, benchmarks and embedders;
 * :mod:`repro.service.http.client` — the stdlib client the CLI's ``--url``
   mode drives (chunked uploads via :mod:`http.client`, streamed downloads,
   pooled keep-alive connections with one transparent stale retry) and the
@@ -38,6 +38,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "HTTPWorker": ".prefork",
         "PreForkServer": ".prefork",
         "RateLimiter": ".prefork",
-        "make_http_server": ".server",
     },
 )

@@ -13,10 +13,10 @@ from a small thread-safe pool, so a fleet detect's hundreds of chunk POSTs
 pay one TCP handshake, not one each.  A connection that went stale while
 idle (the server's keep-alive timeout, a restart) is retried transparently
 exactly once on a fresh connection — safe because a stale close means the
-server never read the request.  Against the legacy one-request-per-
-connection ``wsgiref`` server the responses say ``Connection: close``, the
-pool never retains anything, and behaviour degrades to exactly the old
-connection-per-request model.  ``connections_opened`` counts real TCP
+server never read the request.  Against a one-request-per-connection WSGI
+container (plain ``wsgiref``, say) the responses say ``Connection: close``,
+the pool never retains anything, and behaviour degrades to one connection
+per request.  ``connections_opened`` counts real TCP
 connects, which is what the keep-alive tests assert on.
 
 Errors surface as :class:`HTTPServiceError` carrying the status and the
@@ -77,8 +77,8 @@ class _PooledResponse:
     The connection goes back to the client's idle pool only when the
     response was read to completion **and** the server did not announce
     ``Connection: close`` — ``will_close`` is how :mod:`http.client` records
-    that, so legacy ``wsgiref`` responses (HTTP/1.0, always closing) recycle
-    nothing and keep the old semantics automatically.
+    that, so HTTP/1.0 responses (always closing) recycle nothing and keep
+    connection-per-request semantics automatically.
     """
 
     def __init__(self, client: "ServiceClient", connection, response) -> None:

@@ -1,10 +1,9 @@
 """Pre-fork, keep-alive HTTP/1.1 serving for the protection app — stdlib only.
 
-The threading ``wsgiref`` server (:mod:`repro.service.http.server`) opens one
-thread and one TCP connection per request: fine for a walkthrough, a ceiling
-for heavy multi-tenant traffic, where the frontend must multiplex thousands
-of small calls (status polls, fleet chunk POSTs, detects) without paying a
-handshake each.  This module is the production shape:
+The one HTTP server of the protection app.  Heavy multi-tenant traffic must
+multiplex thousands of small calls (status polls, fleet chunk POSTs,
+detects) without paying a TCP handshake or a thread start each, so the
+frontend is shaped like this:
 
 * :class:`PreForkServer` — a parent that binds the port once and forks N
   worker **processes**.  Where the platform offers ``SO_REUSEPORT`` each
@@ -12,7 +11,8 @@ handshake each.  This module is the production shape:
   load-balances connections across them; elsewhere the children inherit the
   parent's listening socket and share ``accept``.  Dead workers are respawned;
   ``SIGTERM`` drains: stop accepting, finish in-flight requests, exit.
-* :class:`HTTPWorker` — one serving process (or thread, in tests): an accept
+* :class:`HTTPWorker` — one serving process (or thread, via
+  :func:`serve_worker_in_thread` for tests and embedders): an accept
   loop feeding a **bounded connection queue** drained by a fixed pool of
   handler threads.  A full queue sheds load with ``503`` + ``Retry-After``
   instead of letting a silent kernel backlog time callers out; queue depth,
@@ -29,11 +29,11 @@ handshake each.  This module is the production shape:
   over-limit requests answer ``429`` with ``Retry-After`` and the uniform
   ``{"error": ...}`` JSON before any service work runs.
 
-The WSGI application mounted underneath is the unchanged
-:class:`~repro.service.http.app.ProtectionApp`: auth, streaming CSV bodies,
-tracing headers and the byte/bit-identity invariants all carry over —
-asserted by ``tests/service/test_prefork.py`` and
-``benchmarks/bench_load.py``.
+The WSGI application mounted underneath is
+:class:`~repro.service.http.app.ProtectionApp`, which any other WSGI
+container can serve as well: auth, streaming CSV bodies, tracing headers and
+the byte/bit-identity invariants do not depend on the server — asserted by
+``tests/service/test_prefork.py`` and ``benchmarks/bench_load.py``.
 
 Worker sizing: each worker process handles up to ``handler_threads``
 concurrent connections (a kept-alive idle connection parks its handler
@@ -85,7 +85,7 @@ SHED_RETRY_AFTER = 1
 
 #: Unconsumed request-body bytes the server will drain to keep a connection
 #: alive after the app answered without reading the body (an early 401/405);
-#: larger leftovers close the connection instead, like the wsgiref server did.
+#: larger leftovers close the connection instead.
 DRAIN_CAP_BYTES = 1 << 20
 
 #: Longest request/header/chunk-size line accepted.

@@ -154,7 +154,6 @@ class WatermarkerSpec:
     columns: tuple[str, ...] | None
     copies: int
     level_weighting: bool
-    batch: bool
     code: str = "repetition"
 
     @classmethod
@@ -167,7 +166,6 @@ class WatermarkerSpec:
             columns=watermarker.columns,
             copies=watermarker.copies,
             level_weighting=watermarker.level_weighting,
-            batch=watermarker.batched,
             code=watermarker.code_name,
         )
 
@@ -177,7 +175,6 @@ class WatermarkerSpec:
             columns=self.columns,
             copies=self.copies,
             level_weighting=self.level_weighting,
-            batch=self.batch,
             code=self.code,
         )
 

@@ -90,29 +90,52 @@ def spec_to_json(spec) -> dict:
         "columns": list(spec.columns) if spec.columns is not None else None,
         "copies": spec.copies,
         "level_weighting": spec.level_weighting,
-        "batch": spec.batch,
         "code": spec.code,
     }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_columns(value: object) -> bool:
+    return value is None or (
+        isinstance(value, list) and all(isinstance(column, str) for column in value)
+    )
+
+
+def _checked(payload: Mapping, name: str, accepts, expected: str):
+    """``payload[name]`` if *accepts* it; a ``TypeError`` rather than a coercion."""
+    value = payload[name]
+    if not accepts(value):
+        raise TypeError(f"{name!r} must be {expected}, not {value!r}")
+    return value
+
+
 def spec_from_json(payload: Mapping):
-    """The :class:`WatermarkerSpec` a :func:`spec_to_json` document encodes."""
+    """The :class:`WatermarkerSpec` a :func:`spec_to_json` document encodes.
+
+    Values are type-checked, never coerced: ``"false"`` is not a boolean and
+    ``2.9`` is not a copy count.  A ``"batch"`` key from an older coordinator
+    is ignored — both of the engines it selected computed the same digests.
+    """
     from repro.service.runners import WatermarkerSpec  # circular at module load
 
     try:
-        columns = payload["columns"]
+        columns = _checked(payload, "columns", _is_columns, "null or a list of strings")
         return WatermarkerSpec(
             k1=bytes.fromhex(payload["k1"]),
             k2=bytes.fromhex(payload["k2"]),
-            eta=int(payload["eta"]),
-            columns=tuple(str(column) for column in columns) if columns is not None else None,
-            copies=int(payload["copies"]),
-            level_weighting=bool(payload["level_weighting"]),
-            batch=bool(payload["batch"]),
+            eta=_checked(payload, "eta", _is_int, "an integer"),
+            columns=tuple(columns) if columns is not None else None,
+            copies=_checked(payload, "copies", _is_int, "an integer"),
+            level_weighting=_checked(
+                payload, "level_weighting", lambda value: isinstance(value, bool), "a boolean"
+            ),
             # Pre-ECC peers omit the key; default to the seed scheme.
             code=str(payload.get("code", "repetition")),
         )
-    except (KeyError, TypeError) as error:
+    except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"malformed watermarker spec: {error!r}") from None
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.crypto.batch import KeyedHashStream, TupleHasher, serialise_value
-from repro.crypto.hashing import keyed_hash
 from repro.relational.table import Table
 from repro.watermarking.keys import WatermarkKey
 
@@ -62,7 +61,6 @@ class LSBWatermarker:
         ident_column: str,
         xi: int = 2,
         threshold: float = 0.8,
-        batch: bool = True,
     ) -> None:
         """
         Parameters
@@ -78,11 +76,11 @@ class LSBWatermarker:
             Number of least significant bits available for marking.
         threshold:
             Match rate above which detection declares the mark present.
-        batch:
-            Batched keyed hashing (pads built once, idents serialised once
-            per tuple, digests cached) plus copy-on-write embedding.
-            ``False`` keeps the seed's scalar per-call path; both are
-            bit-identical.
+
+        Keyed hashing is batched (HMAC pads built once, idents serialised
+        once per tuple, digests cached) and :meth:`embed` writes into a
+        copy-on-write table.  Every digest equals the per-call
+        ``keyed_hash((ident, label), k1)`` of the seed.
         """
         if not columns:
             raise ValueError("at least one markable column is required")
@@ -95,36 +93,27 @@ class LSBWatermarker:
         self._ident_column = ident_column
         self._xi = xi
         self._threshold = threshold
-        self._batch = batch
-        if batch:
-            stream = KeyedHashStream(key.k1)
-            self._select_hasher = TupleHasher(stream, ("select",))
-            self._column_hasher = TupleHasher(stream, ("column",))
-            self._bit_index_hasher = TupleHasher(stream, ("bit-index",))
-            self._bit_value_hasher = TupleHasher(stream, ("bit-value",))
+        stream = KeyedHashStream(key.k1)
+        self._select_hasher = TupleHasher(stream, ("select",))
+        self._column_hasher = TupleHasher(stream, ("column",))
+        self._bit_index_hasher = TupleHasher(stream, ("bit-index",))
+        self._bit_value_hasher = TupleHasher(stream, ("bit-value",))
 
     # ---------------------------------------------------------------- helpers
     def _cell_plan(self, ident: object) -> tuple[str, int, int] | None:
         """For a selected tuple: (column, bit index, bit value); ``None`` if unselected."""
-        if self._batch:
-            payload = serialise_value(ident)
-            if self._select_hasher.hash_int(payload) % self._key.eta != 0:
-                return None
-            column = self._columns[self._column_hasher.hash_int(payload) % len(self._columns)]
-            bit_index = self._bit_index_hasher.hash_int(payload) % self._xi
-            bit_value = self._bit_value_hasher.hash_int(payload) & 1
-            return column, bit_index, bit_value
-        if keyed_hash((ident, "select"), self._key.k1) % self._key.eta != 0:
+        payload = serialise_value(ident)
+        if self._select_hasher.hash_int(payload) % self._key.eta != 0:
             return None
-        column = self._columns[keyed_hash((ident, "column"), self._key.k1) % len(self._columns)]
-        bit_index = keyed_hash((ident, "bit-index"), self._key.k1) % self._xi
-        bit_value = keyed_hash((ident, "bit-value"), self._key.k1) & 1
+        column = self._columns[self._column_hasher.hash_int(payload) % len(self._columns)]
+        bit_index = self._bit_index_hasher.hash_int(payload) % self._xi
+        bit_value = self._bit_value_hasher.hash_int(payload) & 1
         return column, bit_index, bit_value
 
     # -------------------------------------------------------------------- API
     def embed(self, table: Table) -> Table:
         """Return a marked copy of *table* (integer columns only are touched)."""
-        marked = table.lazy_copy() if self._batch else table.copy()
+        marked = table.lazy_copy()
         for index in range(len(marked)):
             row = marked[index]
             plan = self._cell_plan(row[self._ident_column])

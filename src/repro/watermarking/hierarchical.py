@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.binning.binner import BinnedTable
-from repro.crypto.batch import ScalarWatermarkEngine, WatermarkHashEngine, make_engine
+from repro.crypto.batch import ScalarWatermarkEngine, WatermarkHashEngine
 from repro.dht.node import DHTNode
 from repro.dht.tree import DomainHierarchyTree
 from repro.telemetry.trace import span as _stage_span
@@ -266,7 +266,6 @@ class HierarchicalWatermarker:
         columns: Sequence[str] | None = None,
         copies: int = DEFAULT_COPIES,
         level_weighting: bool = False,
-        batch: bool = True,
         engine: "WatermarkHashEngine | ScalarWatermarkEngine | None" = None,
         code: "MarkCode | str | None" = None,
     ) -> None:
@@ -288,17 +287,14 @@ class HierarchicalWatermarker:
             larger weights in the per-tuple majority vote, implementing the
             "copies from a higher level are more reliable" policy of
             Section 5.3.
-        batch:
-            When true (the default) all keyed-hash arithmetic goes through the
-            batched :class:`~repro.crypto.batch.WatermarkHashEngine` — HMAC
-            pads built once, idents serialised once per tuple, digests cached
-            across embed/detect — and :meth:`embed` writes into a
-            copy-on-write table.  ``False`` reproduces the seed's scalar
-            per-call path (the baseline of the scaling benchmark); both paths
-            are bit-identical.
         engine:
-            Explicit hash engine, overriding the one *batch* would build.
-            Must be keyed with the same ``(k1, k2, η)``.
+            Keyed-hash engine for selection, positions and permutations.
+            ``None`` (the default) builds the batched
+            :class:`~repro.crypto.batch.WatermarkHashEngine` — HMAC pads built
+            once, idents serialised once per tuple, digests cached across
+            embed/detect.  Tests and the scaling benchmark inject the
+            bit-identical :class:`~repro.crypto.batch.ScalarWatermarkEngine`
+            reference here.  Must be keyed with the same ``(k1, k2, η)``.
         code:
             Mark code (a :class:`~repro.watermarking.ecc.MarkCode`, its wire
             string, or ``None`` for the default ``"repetition"``) used to
@@ -311,8 +307,7 @@ class HierarchicalWatermarker:
         self._columns = tuple(columns) if columns is not None else None
         self._copies = copies
         self._level_weighting = level_weighting
-        self._batch = batch
-        self._engine = engine if engine is not None else make_engine(key, batch=batch)
+        self._engine = engine if engine is not None else WatermarkHashEngine(key)
         self._code = resolve_code(code)
 
     @property
@@ -331,11 +326,6 @@ class HierarchicalWatermarker:
     @property
     def level_weighting(self) -> bool:
         return self._level_weighting
-
-    @property
-    def batched(self) -> bool:
-        """Whether the batched hash engine drives this watermarker."""
-        return self._batch
 
     @property
     def engine(self) -> "WatermarkHashEngine | ScalarWatermarkEngine":
@@ -364,7 +354,6 @@ class HierarchicalWatermarker:
             columns=self._columns,
             copies=self._copies,
             level_weighting=self._level_weighting,
-            batch=self._batch,
             engine=self._engine,
             code=code,
         )
@@ -407,10 +396,6 @@ class HierarchicalWatermarker:
         """The keyed base index ``H(t.ident, k2) mod |S|`` of the permutation."""
         return self._engine.base_index(ident, column, level, size)
 
-    def _copy_for_embedding(self, binned: BinnedTable) -> BinnedTable:
-        """Copy-on-write on the batched path, deep copy on the seed path."""
-        return binned.lazy_copy() if self._batch else binned.copy()
-
     @staticmethod
     def _encode_parity(base_index: int, bit: int, size: int) -> int:
         """``SetµBit``: force the index parity to *bit*, staying inside the set.
@@ -439,7 +424,7 @@ class HierarchicalWatermarker:
     def _embed(self, binned: BinnedTable, mark: Mark) -> EmbeddingReport:
         columns = self._resolve_columns(binned)
         frontiers = self._frontiers(binned, columns)
-        watermarked = self._copy_for_embedding(binned)
+        watermarked = binned.lazy_copy()
         wmd = self._encode_mark(mark)
 
         tuples_selected = 0

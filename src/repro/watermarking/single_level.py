@@ -43,7 +43,7 @@ class SingleLevelWatermarker(HierarchicalWatermarker):
     def embed(self, binned: BinnedTable, mark: Mark) -> EmbeddingReport:
         columns = self._resolve_columns(binned)
         frontiers = self._frontiers(binned, columns)
-        watermarked = self._copy_for_embedding(binned)
+        watermarked = binned.lazy_copy()
         wmd = self._encode_mark(mark)
 
         tuples_selected = 0

@@ -16,7 +16,6 @@ from repro.crypto.batch import (
     ScalarWatermarkEngine,
     TupleHasher,
     WatermarkHashEngine,
-    make_engine,
     serialise_value,
 )
 from repro.crypto.hashing import keyed_hash, keyed_hash_bytes
@@ -156,20 +155,14 @@ class TestEngineEquivalence:
                         column, level, 4
                     )
 
+    def test_engines_expose_their_key(self, eta):
+        key, batched, scalar = self._engines(eta)
+        assert batched.key is key
+        assert scalar.key is key
+
     def test_tuple_coordinates_rejects_bad_wmd_length(self, eta):
         key, batched, scalar = self._engines(eta)
         for engine in (batched, scalar):
             with pytest.raises(ValueError):
                 engine.tuple_coordinates(["a"], ("c",), 0)
 
-
-class TestMakeEngine:
-    def test_batch_flag_picks_the_engine(self):
-        key = WatermarkKey.from_secret("mk", 10)
-        assert isinstance(make_engine(key, batch=True), WatermarkHashEngine)
-        assert isinstance(make_engine(key, batch=False), ScalarWatermarkEngine)
-
-    def test_engines_expose_their_key(self):
-        key = WatermarkKey.from_secret("mk", 10)
-        assert make_engine(key, batch=True).key is key
-        assert make_engine(key, batch=False).key is key

@@ -349,11 +349,11 @@ class TestRemoteRunnerCLI:
     def test_live_fleet_detects_identically_to_thread(self, remote_env, capsys):
         from repro.service import KeyVault, ProtectionService
         from repro.service.http import ProtectionApp
-        from repro.service.http.server import serve_in_thread
+        from repro.service.http.prefork import serve_worker_in_thread
 
         vault, protected_csv = remote_env
         worker = ProtectionService(KeyVault(vault))
-        server, url = serve_in_thread(ProtectionApp(worker))
+        server, url = serve_worker_in_thread(ProtectionApp(worker))
         try:
             capsys.readouterr()
             assert main(
@@ -372,8 +372,7 @@ class TestRemoteRunnerCLI:
             assert remote_payload["tuples_selected"] == thread_payload["tuples_selected"]
             assert remote_payload["ok"] is True and remote_payload["mark_loss"] == 0.0
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()
 
     def test_worker_url_requires_remote_runner(self, remote_env):
         vault, protected_csv = remote_env

@@ -116,7 +116,7 @@ class TestPublishedFile:
     def test_http_protect_output_is_private_while_served(self, env, tmp_path, monkeypatch):
         from repro.service.http import ProtectionApp, ServiceClient
         from repro.service.http import app as http_app
-        from repro.service.http.server import serve_in_thread
+        from repro.service.http.prefork import serve_worker_in_thread
 
         served_modes = []
         file_body = http_app._FileBody
@@ -129,12 +129,11 @@ class TestPublishedFile:
         monkeypatch.setattr(http_app, "_FileBody", RecordingBody)
         spool = tmp_path / "spool"
         spool.mkdir()
-        server, url = serve_in_thread(ProtectionApp(env["service"], spool_dir=str(spool)))
+        server, url = serve_worker_in_thread(ProtectionApp(env["service"], spool_dir=str(spool)))
         try:
             token = env["service"].vault.issue_token("owner")
             ServiceClient(url, token).protect("owner", "d", str(env["raw"]), str(tmp_path / "h.csv"))
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()
         assert len(served_modes) == 1
         assert served_modes[0] & 0o077 == 0

@@ -28,7 +28,7 @@ from repro.relational.table import Table
 from repro.service import KeyVault, ProtectionService, RemoteRunner, ShardExecutor
 from repro.service.api import suspect_view
 from repro.service.http import ProtectionApp, ServiceClient
-from repro.service.http.server import serve_in_thread
+from repro.service.http.prefork import serve_worker_in_thread
 from repro.service.streaming import iter_rows
 from repro.watermarking.ownership import (
     ClaimAssessment,
@@ -288,13 +288,12 @@ class TestRemoteCoordinator:
 
     def test_served_dispute_over_http(self, env):
         executor = ShardExecutor(2, runner=_NoPostRunner([_dead_url()]))
-        server, url = serve_in_thread(ProtectionApp(env.service(executor=executor)))
+        server, url = serve_worker_in_thread(ProtectionApp(env.service(executor=executor)))
         try:
             token = KeyVault(env.vault).issue_token("owner")
             payload = ServiceClient(url, token).dispute("owner", "d", env.attacked)
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()
         reference = env.reference(env.attacked)
         assert payload["winner"] == reference.winner == "owner"
         assert [a["mark_bit_errors"] for a in payload["assessments"]] == [

@@ -9,7 +9,7 @@ import pytest
 from repro.datagen.medical import generate_medical_table
 from repro.service import KeyVault, ProtectionService
 from repro.service.http import HTTPServiceError, ProtectionApp, ServiceClient
-from repro.service.http.server import serve_in_thread
+from repro.service.http.prefork import serve_worker_in_thread
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +24,9 @@ def served(tmp_path_factory):
     """A running server over a fresh vault; yields (base_url, vault_dir, server)."""
     vault_dir = str(tmp_path_factory.mktemp("http") / "vault")
     service = ProtectionService(KeyVault.init(vault_dir), chunk_size=256)
-    server, url = serve_in_thread(ProtectionApp(service))
+    server, url = serve_worker_in_thread(ProtectionApp(service))
     yield url, vault_dir, server
-    server.shutdown()
-    server.server_close()
+    server.close()
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +143,7 @@ class TestAuth:
     def test_admin_gated_registration(self, tmp_path):
         vault_dir = str(tmp_path / "vault")
         service = ProtectionService(KeyVault.init(vault_dir))
-        server, url = serve_in_thread(ProtectionApp(service, admin_token="root-secret"))
+        server, url = serve_worker_in_thread(ProtectionApp(service, admin_token="root-secret"))
         try:
             with pytest.raises(HTTPServiceError) as excinfo:
                 ServiceClient(url).register_tenant("owner")
@@ -160,8 +159,7 @@ class TestAuth:
             assert "owner" in admin.status()["tenants"]
             assert "owner" in admin.status("owner")["tenants"]
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()
 
 
 class TestErrors:
@@ -245,7 +243,7 @@ class TestDisputeOverHTTP:
         _, token = owner
         http_out, report = protected_http
         cold_service = ProtectionService(KeyVault(vault_dir))  # fresh frameworks
-        cold_server, cold_url = serve_in_thread(ProtectionApp(cold_service))
+        cold_server, cold_url = serve_worker_in_thread(ProtectionApp(cold_service))
         try:
             client = ServiceClient(cold_url, token)
             verdict = client.dispute("owner", "claims", http_out)
@@ -257,8 +255,7 @@ class TestDisputeOverHTTP:
             payload = client.detect("owner", "claims", http_out)
             assert payload["mark"] == report["mark"] and payload["ok"] is True
         finally:
-            cold_server.shutdown()
-            cold_server.server_close()
+            cold_server.close()
 
 
 class TestPaperScaleAcceptance:
@@ -273,7 +270,7 @@ class TestPaperScaleAcceptance:
         generate_medical_table(size=self.SIZE, seed=2005).to_csv(raw)
         vault_dir = str(base / "vault")
         service = ProtectionService(KeyVault.init(vault_dir), chunk_size=5_000)
-        server, url = serve_in_thread(ProtectionApp(service))
+        server, url = serve_worker_in_thread(ProtectionApp(service))
         payload = ServiceClient(url).register_tenant("owner", k=20, eta=50)
         yield {
             "base": str(base),
@@ -282,8 +279,7 @@ class TestPaperScaleAcceptance:
             "url": url,
             "client": ServiceClient(url, payload["token"]),
         }
-        server.shutdown()
-        server.server_close()
+        server.close()
 
     def test_20k_round_trip_clean_and_attacked(self, big_env, tmp_path):
         client = big_env["client"]

@@ -17,7 +17,7 @@ from repro.datagen.medical import generate_medical_table
 from repro.service import KeyVault, ProtectionService
 from repro.service.executor import ShardExecutor
 from repro.service.http import HTTPServiceError, ProtectionApp, ServiceClient
-from repro.service.http.server import serve_in_thread
+from repro.service.http.prefork import serve_worker_in_thread
 from repro.service.runners import RemoteRunner
 
 ROWS_20K = 20_000
@@ -207,7 +207,7 @@ class TestProtectOverHTTPRunners:
     def test_http_process_protect_byte_identical_and_metered(self, big_env, tmp_path):
         service = big_env["service"]
         app = ProtectionApp(service)
-        server, url = serve_in_thread(app)
+        server, url = serve_worker_in_thread(app)
         try:
             token = service.vault.issue_token("owner")
             client = ServiceClient(url, token)
@@ -227,5 +227,4 @@ class TestProtectOverHTTPRunners:
             assert excinfo.value.status == 400
             assert "detect-only" in str(excinfo.value)
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()

@@ -5,8 +5,7 @@ What this suite pins down, per the serving-layer ISSUE:
 * **keep-alive conformance** — sequential requests on one connection, idle
   timeout closes, max-requests-per-connection recycles, HTTP/1.0 closes;
 * **identity invariants** — protect output byte-identical and detect
-  reports bit-identical through the new server (the wsgiref suite's
-  assertions, re-run against the pre-fork worker);
+  reports bit-identical through the pre-fork worker;
 * **admission control** — a saturated queue sheds with ``503 + Retry-After``
   and counts it, per-tenant token buckets answer ``429``;
 * **graceful drain** — ``begin_drain`` (and SIGTERM on the real pre-fork

@@ -23,7 +23,11 @@ from repro.service import (
     resolve_runner,
 )
 from repro.service.http import HTTPServiceError, ProtectionApp, ServiceClient
-from repro.service.http.server import serve_in_thread
+from repro.service.http.prefork import serve_worker_in_thread
+from repro.service.runners import WatermarkerSpec
+from repro.service.wire import spec_to_json
+from repro.watermarking.hierarchical import HierarchicalWatermarker
+from repro.watermarking.keys import WatermarkKey
 
 
 def _dead_url() -> str:
@@ -66,7 +70,7 @@ def fleet(tmp_path_factory):
     servers, urls = [], []
     for name in ("w1", "w2"):
         worker = ProtectionService(KeyVault.init(str(base / name)))
-        server, url = serve_in_thread(ProtectionApp(worker))
+        server, url = serve_worker_in_thread(ProtectionApp(worker))
         servers.append(server)
         urls.append(url)
     yield {
@@ -77,8 +81,7 @@ def fleet(tmp_path_factory):
         "urls": urls,
     }
     for server in servers:
-        server.shutdown()
-        server.server_close()
+        server.close()
 
 
 @pytest.fixture(scope="module")
@@ -192,6 +195,23 @@ class TestFailover:
             )
         assert excinfo.value.status == 400
         assert "parse" in excinfo.value.message
+
+    def test_wrongly_typed_spec_value_is_served_400(self, fleet):
+        """A worker rejects ``"level_weighting": "false"`` instead of weighting votes."""
+        key = WatermarkKey.from_secret("typed-spec", eta=50)
+        spec = spec_to_json(WatermarkerSpec.of(HierarchicalWatermarker(key)))
+        payload = {
+            "spec": dict(spec, level_weighting="false"),
+            "metadata": {},
+            "mark_length": 20,
+            "header": "ssn,age,zip_code,doctor,symptom,prescription",
+            "lines": [],
+        }
+        with pytest.raises(HTTPServiceError) as excinfo:
+            ServiceClient(fleet["urls"][0]).detect_votes(payload)
+        assert excinfo.value.status == 400
+        assert "malformed watermarker spec" in excinfo.value.message
+        assert "level_weighting" in excinfo.value.message
 
     def test_resolve_runner_rejects_bare_remote_name(self):
         with pytest.raises(ValueError, match="worker fleet"):
@@ -313,10 +333,9 @@ class TestFleetAuth:
     def gated(self, tmp_path_factory):
         vault_dir = str(tmp_path_factory.mktemp("gated") / "vault")
         worker = ProtectionService(KeyVault.init(vault_dir))
-        server, url = serve_in_thread(ProtectionApp(worker, admin_token="fleet-secret"))
+        server, url = serve_worker_in_thread(ProtectionApp(worker, admin_token="fleet-secret"))
         yield url
-        server.shutdown()
-        server.server_close()
+        server.close()
 
     def test_missing_fleet_token_is_401_fail_fast(self, fleet, gated):
         service = fleet["service"]
@@ -380,7 +399,7 @@ class TestWorkerMetrics:
             executor=ShardExecutor(2, runner=RemoteRunner(fleet["urls"])),
         )
         app = ProtectionApp(coordinator)
-        server, url = serve_in_thread(app)
+        server, url = serve_worker_in_thread(app)
         try:
             token = KeyVault(fleet["vault"]).issue_token("owner")
             client = ServiceClient(url, token)
@@ -392,5 +411,4 @@ class TestWorkerMetrics:
             assert runners["remote"]["rows"] == 20_000
             assert snapshot["detect"]["rows"] == 20_000
         finally:
-            server.shutdown()
-            server.server_close()
+            server.close()

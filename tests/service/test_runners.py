@@ -92,7 +92,6 @@ class TestWatermarkerSpec:
                     columns=None,
                     copies=4,
                     level_weighting=True,
-                    batch=True,
                 )
                 for index in range(_WORKER_WATERMARKER_CACHE_SIZE + 5)
             ]

@@ -18,7 +18,7 @@ from repro.datagen.medical import generate_medical_table
 from repro.service import KeyVault, ProtectionService, RemoteRunner
 from repro.service.http import ProtectionApp, ServiceClient
 from repro.service.http.app import TRACE_RESPONSE_HEADER
-from repro.service.http.server import serve_in_thread
+from repro.service.http.prefork import serve_worker_in_thread
 from repro.telemetry.trace import TRACE_HEADER, Tracer, activate
 
 #: Stage spans one traced detect must cover, per the pipeline's named stages.
@@ -184,14 +184,13 @@ class TestFleetTrace:
         for name in ("w1", "w2"):
             worker = ProtectionService(KeyVault.init(str(base / name)))
             app = ProtectionApp(worker)
-            server, url = serve_in_thread(app)
+            server, url = serve_worker_in_thread(app)
             servers.append(server)
             urls.append(url)
             apps.append(app)
         yield urls, apps
         for server in servers:
-            server.shutdown()
-            server.server_close()
+            server.close()
 
     def test_trace_covers_coordinator_and_worker_stages(self, env, workers):
         urls, _ = workers
@@ -238,11 +237,10 @@ class TestHTTPTraceSurface:
     def served(self, env):
         service = ProtectionService(KeyVault(env["vault"]), chunk_size=1_000)
         app = ProtectionApp(service)
-        server, url = serve_in_thread(app)
+        server, url = serve_worker_in_thread(app)
         token = KeyVault(env["vault"]).issue_token("owner")
         yield url, app, token
-        server.shutdown()
-        server.server_close()
+        server.close()
 
     def test_detect_returns_trace_in_header_only(self, env, served):
         url, _, token = served

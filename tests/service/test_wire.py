@@ -97,6 +97,41 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="malformed watermarker spec"):
             spec_from_json({"k1": "00"})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("level_weighting", "false"),
+            ("level_weighting", 0),
+            ("level_weighting", None),
+            ("columns", "age"),
+            ("columns", ["age", 3]),
+            ("columns", {"age": True}),
+            ("copies", 2.9),
+            ("copies", True),
+            ("copies", "4"),
+            ("eta", 25.0),
+            ("eta", False),
+            ("eta", "25"),
+        ],
+    )
+    def test_wrongly_typed_value_is_rejected_not_coerced(self, protection_framework, field, value):
+        watermarker = HierarchicalWatermarker(protection_framework.watermark_key, copies=4)
+        document = _through_json(spec_to_json(WatermarkerSpec.of(watermarker)))
+        document[field] = value
+        with pytest.raises(ValueError, match=f"malformed watermarker spec: .*{field}"):
+            spec_from_json(document)
+
+    def test_batch_key_is_no_longer_written(self, protection_framework):
+        watermarker = HierarchicalWatermarker(protection_framework.watermark_key, copies=4)
+        assert "batch" not in spec_to_json(WatermarkerSpec.of(watermarker))
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_older_coordinators_batch_key_is_ignored(self, protection_framework, batch):
+        watermarker = HierarchicalWatermarker(protection_framework.watermark_key, copies=4)
+        current = _through_json(spec_to_json(WatermarkerSpec.of(watermarker)))
+        older = {**current, "batch": batch}
+        assert spec_from_json(older) == spec_from_json(current)
+
 
 class TestMetadataRoundTrip:
     def test_suspect_metadata_survives_with_trees_reattached(self, trees):

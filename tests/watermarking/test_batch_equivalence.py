@@ -1,9 +1,10 @@
-"""Golden end-to-end equivalence: batched pipeline vs the seed scalar path.
+"""Golden end-to-end equivalence: batched pipeline vs the seed's scalar hashing.
 
-``batch=True`` (the default) must produce **bit-identical** watermarked
-tables, detection reports and LSB marks compared to ``batch=False``, which
-reproduces the seed implementation's per-call hashing and deep copies — under
-clean detection and after every attack.
+The default watermarkers must produce **bit-identical** watermarked tables
+and detection reports to the same watermarkers driven by the injected
+:class:`ScalarWatermarkEngine`, which reproduces the seed implementation's
+per-call hashing — under clean detection and after every attack.  LSB marks
+are checked against a per-ident :func:`keyed_hash` plan written out here.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from repro.attacks.addition import SubsetAdditionAttack
 from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import DeletionMode, SubsetDeletionAttack
 from repro.attacks.generalization_attack import GeneralizationAttack
+from repro.crypto.batch import ScalarWatermarkEngine
+from repro.crypto.hashing import keyed_hash
 from repro.watermarking.baseline_lsb import LSBWatermarker
 from repro.watermarking.hierarchical import HierarchicalWatermarker
 from repro.watermarking.keys import WatermarkKey
@@ -26,8 +29,8 @@ KEY = WatermarkKey.from_secret("batch-equivalence-secret", eta=10)
 
 def _pair(cls):
     return (
-        cls(KEY, copies=3, batch=True),
-        cls(KEY, copies=3, batch=False),
+        cls(KEY, copies=3),
+        cls(KEY, copies=3, engine=ScalarWatermarkEngine(KEY)),
     )
 
 
@@ -94,26 +97,53 @@ class TestGoldenEmbedDetect:
         assert binned_small.binned.table == before
 
 
+LSB_KEY = WatermarkKey.from_secret("lsb-equivalence", eta=4)
+LSB_COLUMNS = ("age",)
+LSB_XI = 2
+
+
+def _scalar_lsb_plan(ident):
+    """The seed's per-call plan for one tuple: (column, bit index, bit value) or None."""
+    if keyed_hash((ident, "select"), LSB_KEY.k1) % LSB_KEY.eta != 0:
+        return None
+    column = LSB_COLUMNS[keyed_hash((ident, "column"), LSB_KEY.k1) % len(LSB_COLUMNS)]
+    bit_index = keyed_hash((ident, "bit-index"), LSB_KEY.k1) % LSB_XI
+    bit_value = keyed_hash((ident, "bit-value"), LSB_KEY.k1) & 1
+    return column, bit_index, bit_value
+
+
 class TestGoldenLSB:
-    def _pair(self):
-        key = WatermarkKey.from_secret("lsb-equivalence", eta=4)
-        kwargs = dict(columns=("age",), ident_column="ssn", xi=2)
-        return LSBWatermarker(key, batch=True, **kwargs), LSBWatermarker(key, batch=False, **kwargs)
+    def _watermarker(self):
+        return LSBWatermarker(LSB_KEY, columns=LSB_COLUMNS, ident_column="ssn", xi=LSB_XI)
 
     def test_embed_and_detect_are_bit_identical(self, medium_table):
-        batched_wm, scalar_wm = self._pair()
-        batched_marked = batched_wm.embed(medium_table)
-        scalar_marked = scalar_wm.embed(medium_table)
-        assert batched_marked == scalar_marked
-        batched_report = batched_wm.detect(batched_marked)
-        scalar_report = scalar_wm.detect(scalar_marked)
-        assert batched_report.total_checked == scalar_report.total_checked
-        assert batched_report.matches == scalar_report.matches
+        marked = self._watermarker().embed(medium_table)
+        expected_rows = []
+        total = already_set = 0
+        for row in medium_table:
+            row = dict(row)
+            plan = _scalar_lsb_plan(row["ssn"])
+            if plan is not None:
+                column, bit_index, bit_value = plan
+                value = row[column]
+                if isinstance(value, int) and not isinstance(value, bool):
+                    total += 1
+                    already_set += (value >> bit_index) & 1 == bit_value
+                    if bit_value:
+                        row[column] = value | (1 << bit_index)
+                    else:
+                        row[column] = value & ~(1 << bit_index)
+            expected_rows.append(row)
+        assert [dict(row) for row in marked] == expected_rows
+        assert 0 < already_set < total
+        clean = self._watermarker().detect(medium_table)
+        assert (clean.total_checked, clean.matches) == (total, already_set)
+        report = self._watermarker().detect(marked)
+        assert (report.total_checked, report.matches) == (total, total)
 
     def test_embed_leaves_the_source_untouched(self, medium_table):
-        batched_wm, _ = self._pair()
         before = medium_table.copy()
-        marked = batched_wm.embed(medium_table)
+        marked = self._watermarker().embed(medium_table)
         assert medium_table == before
         marked.mutable_row(0)["age"] = -1
         assert medium_table == before
