@@ -11,13 +11,20 @@ from a cold process::
     python -m repro detect suspect.csv --vault V --dataset raw --workers 4
     python -m repro dispute suspect.csv --vault V --dataset raw
 
-**Explicit-secret mode** (legacy) — the operator passes both secrets on every
-invocation and retains the printed mark themselves::
+**Explicit-secret mode** (try it without a vault) — the operator passes both
+secrets on every invocation and retains the printed mark themselves::
 
     python -m repro protect raw.csv protected.csv \
         --k 20 --eta 75 --encryption-key E --watermark-secret W
     python -m repro detect protected.csv \
         --eta 75 --encryption-key E --watermark-secret W --expected-mark 1010...
+
+Each command registers the secrets and parameters in a throwaway vault and
+runs exactly the vault-mode code: it streams on the default runner, takes
+``--workers``/``--runner``, and publishes its output atomically.  The secrets
+therefore touch disk for the length of the command, in a temporary directory
+of mode 0700 whose ``registry.db`` is 0600; the directory is removed when the
+command ends, on success or on error, but a SIGKILL can leave it behind.
 
 **Remote mode** — a third way to hold the secrets: a server holds the vault
 and the operator holds only a bearer token.  ``repro serve`` exposes a vault
@@ -44,6 +51,7 @@ always reproduce the same keys.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -67,7 +75,6 @@ from repro.service.vault import (
     migrate_vault,
 )
 from repro.telemetry.trace import Tracer, activate as _trace_activate, format_span_tree
-from repro.watermarking.mark import Mark, mark_loss
 
 # Everything else is imported by the command that runs it: a cold process
 # loads only its verb's code, and the vault verbs never load the data path.
@@ -89,52 +96,6 @@ PARAM_DEFAULTS = {
     "copies": 4,
     "metrics_depth": 1,
 }
-
-
-def _framework(args: argparse.Namespace):
-    from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
-    from repro.framework.pipeline import ProtectionFramework
-    from repro.metrics.usage_metrics import UsageMetrics
-    from repro.ontology.registry import standard_ontology
-
-    trees = dict(standard_ontology().items())
-    return ProtectionFramework(
-        trees,
-        UsageMetrics.uniform_depth(trees, args.metrics_depth),
-        KAnonymitySpec(k=args.k, mode=EnforcementMode.MONO, epsilon=args.epsilon),
-        encryption_key=args.encryption_key,
-        watermark_secret=args.watermark_secret,
-        eta=args.eta,
-        mark_length=args.mark_length,
-        copies=args.copies,
-        code=getattr(args, "code", None),
-    )
-
-
-def _load_raw_table(path: str):
-    from repro.relational.schema import medical_schema
-    from repro.relational.table import Table
-
-    return Table.from_csv(path, medical_schema())
-
-
-def _load_protected_table(path: str, k: int, metrics_depth: int = 1):
-    """Rebuild a :class:`BinnedTable` view of an outsourced CSV for detection.
-
-    Parsing (including the ``[lower,upper)`` interval round trip) lives in
-    :mod:`repro.relational.io`; the frontier stand-ins for a table found in
-    the wild live in :func:`repro.service.api.suspect_view`.
-    """
-    from repro.ontology.registry import standard_ontology
-    from repro.relational.schema import medical_schema
-    from repro.relational.table import Table
-    from repro.service.api import suspect_view
-
-    schema = medical_schema()
-    table = Table.from_csv(path, schema)
-    return suspect_view(
-        table, dict(standard_ontology().items()), schema, k=k, metrics_depth=metrics_depth
-    )
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
@@ -161,10 +122,32 @@ def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> No
                 print("  " + line)
 
 
+@contextlib.contextmanager
 def _service(args: argparse.Namespace):
+    """The service a local data verb runs on: ``--vault``'s, or a throwaway one.
+
+    Explicit-secret mode registers ``--tenant`` with the given secrets,
+    parameters and ``--code`` in a fresh temporary vault, so both modes run
+    the same streaming code; the directory goes when the command ends, on
+    success or on error.
+    """
     from repro.service.api import ProtectionService
 
-    return ProtectionService(KeyVault(args.vault))
+    if args.vault:
+        yield ProtectionService(KeyVault(args.vault))
+        return
+    import tempfile
+
+    with tempfile.TemporaryDirectory(prefix="repro-vault-") as root:
+        vault = KeyVault.init(root)
+        vault.register_tenant(
+            args.tenant,
+            encryption_key=args.encryption_key,
+            watermark_secret=args.watermark_secret,
+            code=args.code or "repetition",
+            **{name: getattr(args, name) for name in PARAM_DEFAULTS},
+        )
+        yield ProtectionService(vault)
 
 
 def _client(args: argparse.Namespace):
@@ -303,21 +286,16 @@ def _cmd_vault_token(args: argparse.Namespace) -> int:
 
 
 def _protect_lines(report: dict) -> list[str]:
-    lines = [
+    return [
         f"protected {report['rows']} rows -> {report['output']}",
         f"  tenant / dataset          : {report['tenant']} / {report['dataset']}",
+        f"  runner / workers          : {report['runner']} / {report['workers']} "
+        f"({report.get('chunks', 0)} chunks)",
         f"  binning information loss  : {report['information_loss']:.2%}",
         f"  cells changed by watermark: {report['cells_changed']}",
         f"  registered statistic v    : {report['registered_statistic']:.0f}",
         f"  mark F(v) (vaulted)       : {report['mark']}",
     ]
-    if "runner" in report:
-        lines.insert(
-            2,
-            f"  runner / workers          : {report['runner']} / {report['workers']} "
-            f"({report.get('chunks', 0)} chunks)",
-        )
-    return lines
 
 
 def _cmd_protect(args: argparse.Namespace) -> int:
@@ -340,43 +318,21 @@ def _cmd_protect(args: argparse.Namespace) -> int:
         )
         _emit(args, report, _protect_lines(report))
         return EXIT_OK
-    if args.vault:
-        outcome = _service(args).protect(
+    with _service(args) as service:
+        report = service.protect(
             args.tenant,
             args.input,
             args.output,
             dataset_id=args.dataset,
             workers=args.workers,
             runner=args.runner,
-        )
-        _emit(args, outcome.to_json(), _protect_lines(outcome.to_json()))
-        return EXIT_OK
-
-    framework = _framework(args)
-    table = _load_raw_table(args.input)
-    protected = framework.protect(table)
-    protected.outsourced_table.to_csv(args.output)
-
-    result = protected.binning_result
-    _emit(
-        args,
-        {
-            "rows": len(table),
-            "output": args.output,
-            "information_loss": result.normalized_information_loss,
-            "cells_changed": protected.embedding_report.cells_changed,
-            "registered_statistic": protected.registered_statistic,
-            "mark": str(protected.mark),
-        },
-        [
-            f"protected {len(table)} rows -> {args.output}",
-            f"  binning information loss : {result.normalized_information_loss:.2%}",
-            f"  cells changed by watermark: {protected.embedding_report.cells_changed}",
-            f"  registered statistic v    : {protected.registered_statistic:.0f}",
-            f"  mark F(v) (retain this)   : {protected.mark}",
-        ],
-    )
-    return 0
+        ).to_json()
+    lines = _protect_lines(report)
+    if not args.vault:
+        # The throwaway vault is gone: the operator keeps the mark.
+        lines[-1] = f"  mark F(v) (retain this)   : {report['mark']}"
+    _emit(args, report, lines)
+    return EXIT_OK
 
 
 def _detect_lines(args: argparse.Namespace, payload: dict) -> list[str]:
@@ -398,8 +354,8 @@ def _detect_lines(args: argparse.Namespace, payload: dict) -> list[str]:
 
 
 def _detect_exit(payload: dict) -> int:
-    # None = nothing to compare against (unregistered dataset), matching the
-    # explicit-secret path; only an actual comparison yields a verdict.
+    # None = nothing to compare against (an unregistered dataset and no
+    # --expected-mark); only an actual comparison yields a verdict.
     if payload.get("ok") is None:
         return EXIT_OK
     return EXIT_OK if payload["ok"] else EXIT_VERDICT
@@ -419,53 +375,19 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         )
         _emit(args, payload, _detect_lines(args, payload))
         return _detect_exit(payload)
-    if args.vault:
-        outcome = _service(args).detect(
+    with _service(args) as service:
+        outcome = service.detect(
             args.tenant,
             args.input,
             dataset_id=args.dataset,
             workers=args.workers,
             runner=_runner_for(args),
-            code=args.code,
+            # A throwaway vault registered the tenant with --code already.
+            code=args.code if args.vault else None,
         )
-        payload = detect_report(
-            outcome, expected_mark=args.expected_mark, max_loss=args.max_loss
-        )
-        _emit(args, payload, _detect_lines(args, payload))
-        return _detect_exit(payload)
-
-    framework = _framework(args)
-    binned = _load_protected_table(args.input, args.k, args.metrics_depth)
-    report = framework.detect(binned)
-    payload: dict = {
-        "rows": len(binned.table),
-        "mark": str(report.mark),
-        "coverage": report.coverage,
-        "positions_with_votes": report.positions_with_votes,
-        "code": report.code,
-        "corrected_bits": report.corrected_bits,
-        "bit_confidence": list(report.bit_confidence),
-        "expected_mark": args.expected_mark or None,
-        "mark_loss": None,
-        "ok": None,
-    }
-    lines = [
-        f"examined {len(binned.table)} rows from {args.input}",
-        f"  recovered mark : {report.mark}",
-        f"  positions voted: {report.positions_with_votes} (coverage {report.coverage:.0%})",
-    ]
-    if report.code != "repetition":
-        lines.append(f"  mark code      : {report.code} (corrected {report.corrected_bits} bits)")
-    exit_code = 0
-    if args.expected_mark:
-        expected = Mark.from_string(args.expected_mark)
-        loss = mark_loss(expected, report.mark)
-        payload["mark_loss"] = loss
-        payload["ok"] = loss <= args.max_loss
-        lines += [f"  expected mark  : {expected}", f"  mark loss      : {loss:.0%}"]
-        exit_code = 0 if loss <= args.max_loss else 1
-    _emit(args, payload, lines)
-    return exit_code
+    payload = detect_report(outcome, expected_mark=args.expected_mark, max_loss=args.max_loss)
+    _emit(args, payload, _detect_lines(args, payload))
+    return _detect_exit(payload)
 
 
 def _cmd_dispute(args: argparse.Namespace) -> int:
@@ -473,7 +395,8 @@ def _cmd_dispute(args: argparse.Namespace) -> int:
     if args.url:
         payload = _client(args).dispute(args.tenant, dataset, args.input)
     else:
-        verdict = _service(args).dispute(args.tenant, args.input, dataset_id=dataset)
+        with _service(args) as service:
+            verdict = service.dispute(args.tenant, args.input, dataset_id=dataset)
         payload = dispute_report(dataset, verdict)
     lines = [f"dispute over {args.input}"]
     for assessment in payload["assessments"]:
@@ -698,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     protect.add_argument(
         "--code",
-        help="mark code for embedding (explicit-secret mode only; vault tenants fix it at registration)",
+        help="mark code for embedding (explicit-secret mode only; a vault tenant's code "
+        "is fixed by 'vault init --code')",
     )
     add_params(protect, vault_aware=True)
     add_secrets(protect, required_without_vault=True)
@@ -719,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--runner",
         choices=(*RUNNER_NAMES, REMOTE_RUNNER_NAME),
         help="where shard votes are collected: thread, process (default; inline "
-        "for a one-chunk input or --workers 1), or remote — a --worker-url fleet (vault mode)",
+        "for a one-chunk input or --workers 1), or remote — a --worker-url fleet (not with --url)",
     )
     detect.add_argument(
         "--code",
@@ -888,15 +812,6 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
                 parser.error(
                     f"{args.command}: --encryption-key and --watermark-secret are required "
                     "when no --vault or --url is given"
-                )
-            if args.workers is not None or args.runner:
-                # The explicit-secret path runs serially in-process (protect
-                # and detect alike); silently dropping these flags would
-                # misattribute a benchmark, exactly like the parameter
-                # conflicts above.
-                parser.error(
-                    f"{args.command}: --workers/--runner require --vault or --url "
-                    "(the explicit-secret path is serial in-process)"
                 )
             for name, value in PARAM_DEFAULTS.items():
                 if getattr(args, name) is None:

@@ -2,12 +2,13 @@
 
 PR 2 made protection durable across *processes*; this package makes it
 operable across *machines*: a WSGI application (no third-party dependencies
-— ``wsgiref`` serves it, any WSGI container can) exposing the service's five
-verbs with streaming CSV bodies and per-tenant bearer-token auth backed by
-the :class:`~repro.service.vault.KeyVault`:
+— the pre-fork server below serves it; another WSGI server can if it sets
+``wsgi.input_terminated``) exposing the service's five verbs with streaming
+CSV bodies and per-tenant bearer-token auth backed by the
+:class:`~repro.service.vault.KeyVault`:
 
-* :mod:`repro.service.http.app` — the WSGI application: routing, chunked
-  upload decoding, streaming download, JSON bodies matching the CLI's
+* :mod:`repro.service.http.app` — the WSGI application: routing, upload
+  spooling, streaming download, JSON bodies matching the CLI's
   ``--json`` shapes, plus the ``/internal/detect-votes`` worker endpoint of
   distributed detection;
 * :mod:`repro.service.http.auth` — ``Authorization: Bearer`` validation

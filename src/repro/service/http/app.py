@@ -22,11 +22,12 @@ gated behind ``--admin-token`` when one is configured (the fleet secret),
 open otherwise.  ``/metrics`` exposes the process's
 :class:`~repro.service.http.metrics.ServiceMetrics` snapshot.
 
-CSV request bodies stream: ``Content-Length`` bodies are read in blocks,
-``Transfer-Encoding: chunked`` bodies are decoded chunk by chunk (wsgiref
-passes the raw stream through), and either way the bytes are spooled to a
-temporary file — protect needs two passes over its input and a socket can be
-read only once.  The protect response streams the protected CSV back with an
+CSV request bodies stream: the server decodes the transfer framing
+(``Content-Length`` or chunked) and sets ``wsgi.input_terminated``, the app
+reads ``wsgi.input`` to EOF in blocks and spools the bytes to a temporary
+file — protect needs two passes over its input and a socket can be read only
+once.  Without ``wsgi.input_terminated`` a request body is refused with 500.
+The protect response streams the protected CSV back with an
 exact ``Content-Length`` and carries the JSON report (the same document
 ``repro protect --json`` prints) in the ``X-Repro-Report`` header, so one
 round trip yields both artifacts without buffering either.
@@ -159,7 +160,7 @@ class _FileBody:
                 return
             yield block
 
-    def close(self) -> None:  # wsgiref calls this after the last block
+    def close(self) -> None:  # the WSGI server calls this after the last block
         self._handle.close()
         _unlink_quietly(self._path)
 
@@ -172,61 +173,27 @@ def _unlink_quietly(path: str) -> None:
 
 
 def _iter_request_body(environ: Mapping[str, object]) -> Iterator[bytes]:
-    """Stream the request body, decoding chunked transfer-encoding ourselves.
+    """Stream the request body: ``wsgi.input`` read to EOF in blocks.
 
-    ``wsgiref`` hands the application the raw socket stream; WSGI has no
-    standard chunked story, so the frontend decodes the framing here (sizes
-    line, payload, trailing CRLF, terminated by a zero-size chunk whose
-    trailers are skipped).  Bodies with ``Content-Length`` are read exactly
-    to length in blocks — never ``read()`` to EOF, which can block on a
-    keep-alive socket.
-
-    A keep-alive frontend (``repro.service.http.prefork``) decodes transfer
-    framing itself — it has to, to know where a pipelined request's body ends
-    — and advertises that with the de-facto ``wsgi.input_terminated`` flag:
-    the stream then yields exactly the payload bytes and EOFs at the body's
-    end, so this function just reads it out in blocks.
+    The server owns transfer framing — the pre-fork server
+    (:mod:`repro.service.http.prefork`) must decode ``Content-Length`` and
+    chunked bodies itself to find where a pipelined request's body ends —
+    and says so with the de-facto ``wsgi.input_terminated`` flag: the stream
+    then yields exactly the payload bytes and EOFs at the body's end.  A
+    server that does not set the flag may hand over raw framing or a stream
+    that never EOFs, so the request is refused with a 500 instead.
     """
+    if not environ.get("wsgi.input_terminated"):
+        raise _HTTPError(
+            500,
+            "the WSGI server must set wsgi.input_terminated "
+            "(decode the request body framing and EOF wsgi.input at the body's end)",
+        )
     stream = environ["wsgi.input"]
-    if environ.get("wsgi.input_terminated"):
-        while True:
-            block = stream.read(SPOOL_CHUNK_BYTES)
-            if not block:
-                return
-            yield block
-    encoding = str(environ.get("HTTP_TRANSFER_ENCODING", "")).lower()
-    if "chunked" in encoding:
-        while True:
-            size_line = stream.readline()
-            if not size_line:
-                raise _HTTPError(400, "truncated chunked body (missing chunk size)")
-            try:
-                size = int(size_line.split(b";", 1)[0].strip() or b"0", 16)
-            except ValueError:
-                raise _HTTPError(400, "malformed chunked body (bad chunk size)") from None
-            if size == 0:
-                # Consume trailers (rare) up to the final blank line.
-                while True:
-                    trailer = stream.readline()
-                    if trailer in (b"", b"\r\n", b"\n"):
-                        return
-            remaining = size
-            while remaining:
-                block = stream.read(min(remaining, SPOOL_CHUNK_BYTES))
-                if not block:
-                    raise _HTTPError(400, "truncated chunked body (short chunk)")
-                remaining -= len(block)
-                yield block
-            stream.readline()  # the CRLF closing this chunk
-    try:
-        remaining = int(str(environ.get("CONTENT_LENGTH") or 0))
-    except ValueError:
-        raise _HTTPError(400, "malformed Content-Length") from None
-    while remaining > 0:
-        block = stream.read(min(remaining, SPOOL_CHUNK_BYTES))
+    while True:
+        block = stream.read(SPOOL_CHUNK_BYTES)
         if not block:
-            raise _HTTPError(400, "truncated body (short read against Content-Length)")
-        remaining -= len(block)
+            return
         yield block
 
 

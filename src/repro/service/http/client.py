@@ -13,11 +13,10 @@ from a small thread-safe pool, so a fleet detect's hundreds of chunk POSTs
 pay one TCP handshake, not one each.  A connection that went stale while
 idle (the server's keep-alive timeout, a restart) is retried transparently
 exactly once on a fresh connection — safe because a stale close means the
-server never read the request.  Against a one-request-per-connection WSGI
-container (plain ``wsgiref``, say) the responses say ``Connection: close``,
-the pool never retains anything, and behaviour degrades to one connection
-per request.  ``connections_opened`` counts real TCP
-connects, which is what the keep-alive tests assert on.
+server never read the request.  A response that says ``Connection: close``
+is never pooled, so against a server that closes every connection the
+client degrades to one connection per request.  ``connections_opened``
+counts real TCP connects, which is what the keep-alive tests assert on.
 
 Errors surface as :class:`HTTPServiceError` carrying the status and the
 server's ``{"error": ...}`` message.

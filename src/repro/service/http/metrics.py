@@ -29,7 +29,9 @@ this document mixes precisions)::
                       snapshot time, so they are correct after a pre-fork),
                       TCP connections accepted, the admission queue's
                       current depth and configured limit (``queue_limit``
-                      is ``null`` under the legacy threading server),
+                      is ``null`` until a serving worker reports one: an
+                      app driven without a pre-fork worker, or a worker
+                      built without ``metrics=``),
                       connections shed with 503, requests refused with 429
     latency          {"requests": {route: H}, "detect": {runner: H},
                       "protect": {runner: H}, "worker_chunks": H}
@@ -85,8 +87,8 @@ class ServiceMetrics:
             lambda: Histogram(DEFAULT_LATENCY_BUCKETS)
         )
         self._chunk_latency = Histogram(DEFAULT_LATENCY_BUCKETS)
-        # Serving-layer counters (filled in by the pre-fork worker; the
-        # legacy threading server leaves them at rest).
+        # Serving-layer counters, filled in by the pre-fork worker handed
+        # these metrics; they stay at rest (queue limit None) without one.
         self._connections = 0
         self._sheds = 0
         self._rate_limited = 0
@@ -258,7 +260,7 @@ class ServiceMetrics:
                 MetricFamily(
                     "repro_queue_limit",
                     "gauge",
-                    "Configured admission-queue limit (0 = legacy threading server).",
+                    "Configured admission-queue limit (0 = no serving worker has reported one).",
                     [({}, self._queue_limit or 0)],
                 ),
                 MetricFamily(

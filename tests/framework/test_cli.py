@@ -1,6 +1,7 @@
 """Tests for the command-line interface (protect / detect on CSV files)."""
 
 import json
+import os
 
 import pytest
 
@@ -293,12 +294,112 @@ class TestVaultTokenAndRunnerCLI:
         assert process["ok"] is True and process_exit == 0
 
 
-class TestExplicitModeRunnerRejected:
-    def test_workers_and_runner_need_vault_or_url(self, raw_csv):
-        with pytest.raises(SystemExit):
-            main(["detect", raw_csv, *COMMON, "--workers", "4"])
-        with pytest.raises(SystemExit):
-            main(["detect", raw_csv, *COMMON, "--runner", "process"])
+class TestExplicitSecretModeRunsTheService:
+    """Explicit-secret protect/detect run the vault code on a throwaway vault."""
+
+    @pytest.fixture(scope="class")
+    def two_chunk_csv(self, tmp_path_factory):
+        # One row past the 10,000-row default chunk: two chunks.
+        path = tmp_path_factory.mktemp("two-chunk") / "raw.csv"
+        generate_medical_table(size=10_001, seed=55).to_csv(str(path))
+        return str(path)
+
+    @pytest.fixture
+    def vault_roots(self, tmp_path, monkeypatch):
+        """A test-owned TMPDIR, and the root of every vault the CLI creates."""
+        import tempfile
+
+        from repro.service.vault import KeyVault
+
+        scratch = tmp_path / "tmpdir"
+        scratch.mkdir()
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        roots = []
+        init = KeyVault.init.__func__
+
+        def spy(cls, root):
+            roots.append(str(root))
+            return init(cls, root)
+
+        monkeypatch.setattr(KeyVault, "init", classmethod(spy))
+        return scratch, roots
+
+    def test_byte_identical_to_vault_mode_across_a_chunk_boundary(
+        self, two_chunk_csv, tmp_path, capsys
+    ):
+        vault = str(tmp_path / "vault")
+        assert main(["vault", "init", vault, *COMMON]) == 0
+        vault_out, explicit_out = str(tmp_path / "vault.csv"), str(tmp_path / "explicit.csv")
+        assert main(["protect", two_chunk_csv, vault_out, "--vault", vault, "--json"]) == 0
+        capsys.readouterr()
+        assert main(["protect", two_chunk_csv, explicit_out, *COMMON, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["chunks"] == 2 and report["rows"] == 10_001
+        with open(vault_out, "rb") as left, open(explicit_out, "rb") as right:
+            assert left.read() == right.read()
+
+        assert main(["detect", vault_out, "--vault", vault, "--dataset", "raw", "--json"]) == 0
+        from_vault = json.loads(capsys.readouterr().out)
+        exit_code = main(
+            ["detect", explicit_out, *COMMON, "--expected-mark", report["mark"], "--json"]
+        )
+        explicit = json.loads(capsys.readouterr().out)
+        assert exit_code == 0 and explicit["ok"] is True
+        for key in ("mark", "coverage", "positions_with_votes", "bit_confidence", "mark_loss"):
+            assert explicit[key] == from_vault[key], key
+
+    def test_runner_and_workers_are_honoured_and_reported(self, raw_csv, tmp_path, capsys):
+        protected_csv = str(tmp_path / "protected.csv")
+        flags = [*COMMON, "--runner", "thread", "--workers", "2", "--json"]
+        assert main(["protect", raw_csv, protected_csv, *flags]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (report["runner"], report["workers"]) == ("thread", 2)
+        assert main(["detect", protected_csv, "--expected-mark", report["mark"], *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["runner"], payload["shards"]) == ("thread", 2)
+        assert payload["mark_loss"] == 0.0
+
+    def test_code_is_registered_on_the_throwaway_tenant(self, raw_csv, tmp_path, capsys):
+        """Detect --code interleaved decodes with the code protect embedded."""
+        protected_csv = str(tmp_path / "protected.csv")
+        code = ["--code", "interleaved", "--json"]
+        assert main(["protect", raw_csv, protected_csv, *COMMON, *code]) == 0
+        mark = json.loads(capsys.readouterr().out)["mark"]
+        assert main(["detect", protected_csv, *COMMON, *code, "--expected-mark", mark]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["code"] == "interleaved" and payload["mark_loss"] == 0.0
+
+    def test_no_throwaway_vault_survives_success(self, raw_csv, tmp_path, vault_roots, capsys):
+        scratch, roots = vault_roots
+        protected_csv = str(tmp_path / "protected.csv")
+        assert main(["protect", raw_csv, protected_csv, *COMMON]) == 0
+        assert main(["detect", protected_csv, *COMMON]) == 0
+        capsys.readouterr()
+        assert len(roots) == 2
+        assert all(os.path.dirname(root) == str(scratch) for root in roots)
+        assert os.listdir(scratch) == []
+
+    def test_bad_cell_leaves_no_vault_and_an_unchanged_destination(
+        self, raw_csv, tmp_path, vault_roots, capsys
+    ):
+        scratch, roots = vault_roots
+        with open(raw_csv, encoding="utf-8") as handle:
+            lines = handle.readlines()
+        cells = lines[500].split(",")
+        cells[1] = "not-an-age"
+        lines[500] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines), encoding="utf-8")
+        destination = tmp_path / "protected.csv"
+        destination.write_bytes(b"an earlier release\n")
+        exit_code = main(["protect", str(bad), str(destination), *COMMON, "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert exit_code == 2
+        assert payload["error"].startswith(f"{bad}, line 501: column 'age'")
+        assert destination.read_bytes() == b"an earlier release\n"
+        assert len(roots) == 1 and os.listdir(scratch) == []
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv", "protected.csv", "tmpdir"]
 
 
 class TestRemoteRunnerCLI:

@@ -227,6 +227,26 @@ class TestErrors:
             "could not convert string to float: 'not-an-age'"
         )
 
+    def test_body_without_input_terminated_is_500(self, served):
+        """A server that leaves body framing to the app is refused, never mis-read."""
+        import io
+
+        _, vault_dir, _ = served
+        app = ProtectionApp(ProtectionService(KeyVault(vault_dir)))
+        body = b'{"k": 10}'
+        environ = {
+            "REQUEST_METHOD": "POST",
+            "PATH_INFO": "/tenants/raw-framing",
+            "CONTENT_LENGTH": str(len(body)),
+            "wsgi.input": io.BytesIO(body),
+        }
+        statuses = []
+        response = b"".join(app(environ, lambda status, headers: statuses.append(status)))
+        assert statuses == ["500 Internal Server Error"]
+        payload = json.loads(response)
+        assert set(payload) == {"error"} and "wsgi.input_terminated" in payload["error"]
+        assert "raw-framing" not in KeyVault(vault_dir)
+
     def test_unknown_route_is_404(self, served):
         url, _, _ = served
         with pytest.raises(HTTPServiceError) as excinfo:
