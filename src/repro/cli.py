@@ -173,6 +173,13 @@ def _runner_for(args: argparse.Namespace):
     )
 
 
+def _close_runner(runner) -> None:
+    """Close a :class:`RemoteRunner`'s fleet connections; names need nothing."""
+    close = getattr(runner, "close", None)
+    if close is not None:
+        close()
+
+
 # ------------------------------------------------------------------- commands
 def _cmd_vault_init(args: argparse.Namespace) -> int:
     vault = KeyVault.init(args.path)
@@ -375,16 +382,20 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         )
         _emit(args, payload, _detect_lines(args, payload))
         return _detect_exit(payload)
-    with _service(args) as service:
-        outcome = service.detect(
-            args.tenant,
-            args.input,
-            dataset_id=args.dataset,
-            workers=args.workers,
-            runner=_runner_for(args),
-            # A throwaway vault registered the tenant with --code already.
-            code=args.code if args.vault else None,
-        )
+    runner = _runner_for(args)
+    try:
+        with _service(args) as service:
+            outcome = service.detect(
+                args.tenant,
+                args.input,
+                dataset_id=args.dataset,
+                workers=args.workers,
+                runner=runner,
+                # A throwaway vault registered the tenant with --code already.
+                code=args.code if args.vault else None,
+            )
+    finally:
+        _close_runner(runner)
     payload = detect_report(outcome, expected_mark=args.expected_mark, max_loss=args.max_loss)
     _emit(args, payload, _detect_lines(args, payload))
     return _detect_exit(payload)
@@ -492,6 +503,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.close()
+        _close_runner(runner)
     return EXIT_OK
 
 

@@ -131,11 +131,6 @@ class KeyedHashStream:
             cache[payload] = value
         return value
 
-    def clear_cache(self) -> None:
-        """Drop every memoised digest (long-running processes, key rotation)."""
-        if self._cache is not None:
-            self._cache.clear()
-
     # --------------------------------------------------------- python values
     def digest(self, value: object) -> bytes:
         """Equivalent of :func:`repro.crypto.hashing.keyed_hash_bytes`."""
@@ -242,11 +237,6 @@ class WatermarkHashEngine:
     @property
     def key(self) -> WatermarkKey:
         return self._key
-
-    def clear_caches(self) -> None:
-        """Drop the selection and permutation digest caches."""
-        self._selection.clear_cache()
-        self._permutation.clear_cache()
 
     # ---------------------------------------------------------------- hashers
     def _position_hasher(self, column: str) -> TupleHasher:

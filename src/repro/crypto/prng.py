@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 __all__ = ["DeterministicPRNG"]
 
@@ -156,8 +156,3 @@ class DeterministicPRNG:
             raise ValueError("n must be positive")
         weights = [1.0 / (rank + 1) ** exponent for rank in range(n)]
         return self.weighted_choice(list(range(n)), weights)
-
-    def iter_random(self) -> Iterable[float]:
-        """Infinite iterator of uniform floats (convenience for tests)."""
-        while True:
-            yield self.random()

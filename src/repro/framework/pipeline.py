@@ -120,11 +120,6 @@ class ProtectionFramework:
         """The owner statistic ``v`` of the last/restored registration."""
         return self._owner_statistic
 
-    @property
-    def registered_mark(self) -> Mark | None:
-        """The owner mark ``F(v)`` of the last/restored registration."""
-        return self._owner_mark
-
     def watermarker(self) -> HierarchicalWatermarker:
         """The configured hierarchical watermarker (shared by protect/verify).
 

@@ -4,11 +4,13 @@ Both halves of the watermarking algorithm are per-row computations: whether a
 tuple is selected, where its bit lives in the replicated mark and which
 sibling index encodes it depend only on that tuple's (encrypted) identifier.
 A CSV file can therefore be split into contiguous raw chunks, each chunk
-worked independently, and the results merged in chunk order.  *Where* each
-chunk's task runs is delegated to a pluggable
-:class:`~repro.service.runners.ShardRunner` (threads, processes, the default
-process-or-inline runner, or a remote fleet for detect); the merge machinery
-here is identical in every case, which is what keeps every runner
+worked independently, and the results merged in chunk order.  The executor
+builds each verb's raw-chunk task from the task functions of
+:mod:`repro.service.runners` and hands it to the runner's one map
+(:meth:`~repro.service.runners.ShardRunner.map_raw_chunks`); *where* each
+chunk runs is the pluggable runner's business (threads, processes, the
+default process-or-inline runner, or a remote fleet for detect).  The merge
+machinery here is identical in every case, which is what keeps every runner
 bit-identical to serial:
 
 * **detect** (:meth:`ShardExecutor.detect_csv`) — each chunk produces a
@@ -16,7 +18,9 @@ bit-identical to serial:
   chunk order reproduces the serial per-position vote lists exactly, so the
   finalised :class:`DetectionReport` (mark, wmd bits, counters) is
   bit-identical to a serial :meth:`detect` — asserted by the service tests on
-  clean and attacked files.
+  clean and attacked files.  Its task comes from the runner
+  (:meth:`~repro.service.runners.ShardRunner.detect_task`), because the
+  fleet's task is a POST.
 * **protect** — pass 1 (:meth:`ShardExecutor.aggregate_csv`) sums per-chunk
   :class:`~repro.service.runners.ChunkAggregates` — leaf counts and the exact
   identifier total — which add up to one sweep's in any order.  Once pass 1
@@ -29,14 +33,18 @@ bit-identical to serial:
   again: each claim's :class:`~repro.watermarking.ownership.ClaimEvidence`
   merges in chunk order, so finalising it reproduces the whole-table
   assessment of Section 5.4.
+
+Both protect passes and dispute are keyed work (raw identifiers, decryption
+keys): one check refuses them on a runner that is not local.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from repro.relational.schema import TableSchema
 from repro.service.runners import (
@@ -46,6 +54,10 @@ from repro.service.runners import (
     DisputePlan,
     ProtectPlan,
     ShardRunner,
+    WatermarkerSpec,
+    aggregate_raw_chunk,
+    dispute_raw_chunk,
+    protect_raw_chunk,
     resolve_runner,
 )
 from repro.service.streaming import DEFAULT_CHUNK_SIZE, RowWriter
@@ -97,6 +109,20 @@ class ShardExecutor:
     def runner_name(self) -> str:
         return self._runner.name
 
+    def _map_keyed(
+        self, task: Callable[[str, list[str]], object], path: str, chunk_size: int
+    ) -> Iterator[object]:
+        """The runner's chunk map for keyed work, refused unless the runner is local.
+
+        Refuses when called, not when first iterated, so protect refuses
+        before its output file exists.
+        """
+        if not self._runner.is_local:
+            raise ValueError(LOCAL_ONLY_ERROR)
+        return self._runner.map_raw_chunks(
+            task, path, chunk_size=chunk_size, max_workers=self._max_workers
+        )
+
     # ---------------------------------------------------------------- detection
     def detect_csv(
         self,
@@ -112,24 +138,22 @@ class ShardExecutor:
         """Detect straight off a CSV file, letting the runner own the ingest.
 
         Every runner ships raw CSV chunks to its workers, which parse and
-        collect votes (:func:`~repro.service.runners.collect_raw_chunk`), so
-        the merged votes — and therefore the report — are bit-identical to a
-        serial detect over the materialised table.  A header-only file
-        finalises empty votes: a valid, all-zero report with zero coverage.
-        *on_rows* receives each chunk's row count (the service reports total
-        rows examined).
+        collect votes (:func:`~repro.service.runners.collect_raw_chunk`, on
+        this host or on a fleet worker), so the merged votes — and therefore
+        the report — are bit-identical to a serial detect over the
+        materialised table.  A header-only file finalises empty votes: a
+        valid, all-zero report with zero coverage.  *on_rows* receives each
+        chunk's row count (the service reports total rows examined).
         """
+        task = self._runner.detect_task(
+            WatermarkerSpec.of(watermarker), schema, metadata, mark_length
+        )
         merged: DetectionVotes | None = None
-        for votes in self._runner.collect_csv(
-            watermarker,
-            path,
-            schema,
-            metadata,
-            mark_length,
-            chunk_size=chunk_size,
-            max_workers=self._max_workers,
-            on_rows=on_rows,
+        for rows, votes in self._runner.map_raw_chunks(
+            task, path, chunk_size=chunk_size, max_workers=self._max_workers
         ):
+            if on_rows is not None:
+                on_rows(rows)
             # One span per chunk merged (the first chunk's is the trivial
             # adoption) — pulling from the runner stays *outside* the span so
             # worker wait time never masquerades as merge time.
@@ -154,8 +178,8 @@ class ShardExecutor:
             identifier_total=0,
             identifier_count=0,
         )
-        for part in self._runner.aggregate_csv(
-            plan, input_csv, chunk_size=chunk_size, max_workers=self._max_workers
+        for part in self._map_keyed(
+            functools.partial(aggregate_raw_chunk, plan), input_csv, chunk_size
         ):
             merged.merge(part)
         return merged
@@ -185,16 +209,13 @@ class ShardExecutor:
         of rows than the *expected_rows* pass 1 counted, the input changed
         between the two passes, and the old *output_csv* stays untouched.
         """
-        if not self._runner.is_local:
-            raise ValueError(LOCAL_ONLY_ERROR)
+        chunks = self._map_keyed(functools.partial(protect_raw_chunk, plan), input_csv, chunk_size)
         rows = 0
         tuples_selected = 0
         cells_changed = 0
         chunk_seconds: list[float] = []
         with RowWriter(output_csv, plan.schema) as writer:
-            for chunk in self._runner.protect_csv(
-                plan, input_csv, chunk_size=chunk_size, max_workers=self._max_workers
-            ):
+            for chunk in chunks:
                 writer.write_text(chunk.text, chunk.rows)
                 rows += chunk.rows
                 tuples_selected += chunk.tuples_selected
@@ -225,8 +246,8 @@ class ShardExecutor:
         header-only file yields every claim's empty evidence.
         """
         merged: list[ClaimEvidence] | None = None
-        for evidence in self._runner.dispute_csv(
-            plan, path, chunk_size=chunk_size, max_workers=self._max_workers
+        for evidence in self._map_keyed(
+            functools.partial(dispute_raw_chunk, plan), path, chunk_size
         ):
             if merged is None:
                 merged = list(evidence)

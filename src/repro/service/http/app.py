@@ -562,6 +562,9 @@ class ProtectionApp:
         exact code path the in-process runners execute — and engines are
         cached per spec across chunks, so a fleet worker behaves like one
         long-lived process-pool worker that happens to be on another machine.
+        A record that does not parse is a 400 whose body adds ``line`` (its
+        physical line in the chunk, the header being line 1) and ``reason``
+        to ``error``.
         """
         self._auth.require_admin(environ)
         body = self._read_body(environ)
@@ -592,6 +595,13 @@ class ProtectionApp:
             rows, votes = collect_raw_chunk(
                 spec, self._service.schema, metadata, header, lines, mark_length
             )
+        except CsvRecordError as error:
+            # A bad record also carries its chunk line (the header is line 1)
+            # and reason, which the coordinator turns back into a
+            # CsvRecordError at the record's line in the file it split.
+            document = error_payload(f"chunk does not parse/collect: {error}")
+            document.update(line=error.line, reason=error.reason)
+            return _json_response(start_response, 400, document)
         except (ValueError, KeyError, TypeError) as error:
             # A chunk that cannot be parsed or collected is a *request* error
             # (bad CSV cell, metadata missing BinnedTable fields): it must
@@ -604,7 +614,8 @@ class ProtectionApp:
         tracer = _current_tracer()
         if tracer is not None:
             # Traced by the coordinator: ship this worker's spans back in the
-            # body (an internal hop — RemoteRunner strips them before voting).
+            # body (an internal hop — the coordinator ingests them into its
+            # trace and votes only on rows and votes).
             scope = environ.get("repro.request_span")
             if scope is not None:
                 scope.done()

@@ -55,10 +55,6 @@ class Authenticator:
         self._vault = vault
         self._admin_token = admin_token
 
-    @property
-    def requires_admin_token(self) -> bool:
-        return self._admin_token is not None
-
     def require_tenant(self, environ: Mapping[str, str], tenant_id: str) -> None:
         """Authorise the request for *tenant_id* or raise :class:`AuthError`.
 

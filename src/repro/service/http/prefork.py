@@ -849,10 +849,6 @@ class PreForkServer:
     def reuseport(self) -> bool:
         return self._reuseport
 
-    @property
-    def worker_pids(self) -> tuple[int, ...]:
-        return tuple(sorted(self._pids))
-
     # ------------------------------------------------------------- lifecycle
     def start(self) -> None:
         """Fork the workers (idempotent).  The port is accepting on return —

@@ -1,34 +1,36 @@
 """Pluggable shard runners: where every verb's per-chunk work executes.
 
 The :class:`~repro.service.executor.ShardExecutor` owns the *semantics* of
-chunk-parallel work (merge in chunk order, finalise once — bit-identical to
-serial by construction).  This module owns the *mechanics*, and it has one
-protocol: every runner task is a raw-chunk task.  A :class:`ShardRunner`
-splits a CSV file into quote-parity ``(header, lines)`` chunks in the
-calling thread (:func:`~repro.service.streaming.iter_raw_chunks`) and maps
-one of four picklable task functions over them on its pool, yielding one
-result per chunk, **in chunk order**, with a bounded number in flight:
+chunk-parallel work (build each verb's task, merge in chunk order, finalise
+once — bit-identical to serial by construction).  This module owns the
+*mechanics*, and it has one protocol: every runner task is a raw-chunk task,
+and every runner, the remote fleet included, runs it through one map
+(:meth:`ShardRunner.map_raw_chunks`).  The map splits a CSV file into
+quote-parity ``(header, lines)`` chunks in the calling thread
+(:func:`~repro.service.streaming.iter_raw_chunks`) and runs the task over
+them on the runner's pool, yielding one result per chunk, **in chunk
+order**, with a bounded number in flight.  The tasks are four picklable
+functions:
 
-* :func:`aggregate_raw_chunk` — protect's pass 1 (:meth:`ShardRunner.aggregate_csv`):
-  mergeable :class:`ChunkAggregates`, per-leaf counts and the exact
-  identifier total, that the caller adds in chunk order;
-* :func:`protect_raw_chunk` — protect's pass 2 (:meth:`ShardRunner.protect_csv`):
-  once the binning plan is fixed, rewrite + embed is per-chunk independent,
-  so each chunk comes back as a :class:`ProtectedChunk` — its serialised
-  output CSV text plus its embedding counters — for the executor to splice
-  through a :class:`~repro.service.streaming.RowWriter`;
-* :func:`collect_raw_chunk` — detect (:meth:`ShardRunner.collect_csv`): the
-  chunk's :class:`~repro.watermarking.hierarchical.DetectionVotes`;
-* :func:`dispute_raw_chunk` — the Section 5.4 dispute
-  (:meth:`ShardRunner.dispute_csv`): parse, decrypt the identifying column
-  under each claimant's key, and return one mergeable
+* :func:`aggregate_raw_chunk` — protect's pass 1: mergeable
+  :class:`ChunkAggregates`, per-leaf counts and the exact identifier total,
+  that the caller adds in chunk order;
+* :func:`protect_raw_chunk` — protect's pass 2: once the binning plan is
+  fixed, rewrite + embed is per-chunk independent, so each chunk comes back
+  as a :class:`ProtectedChunk` — its serialised output CSV text plus its
+  embedding counters — for the executor to splice through a
+  :class:`~repro.service.streaming.RowWriter`;
+* :func:`collect_raw_chunk` — detect: the chunk's row count and
+  :class:`~repro.watermarking.hierarchical.DetectionVotes`;
+* :func:`dispute_raw_chunk` — the Section 5.4 dispute: parse, decrypt the
+  identifying column under each claimant's key, and return one mergeable
   :class:`~repro.watermarking.ownership.ClaimEvidence` per claim.
 
 Every task parses its own chunk (the dominant cost of detect), takes its
 engines from a per-process cache keyed by a picklable
-:class:`WatermarkerSpec` (live HMAC objects don't pickle), and locates a bad
-record by file and physical line.  So the local runners differ only in where
-the task runs:
+:class:`WatermarkerSpec` (live HMAC objects don't pickle), and the map
+locates a bad record by file and physical line.  So the runners differ only
+in where the task runs:
 
 * :class:`ThreadRunner` — a :class:`~concurrent.futures.ThreadPoolExecutor`;
   tasks share the process-wide engine cache.  Cheap to start, but parsing
@@ -38,20 +40,21 @@ the task runs:
   task's result travels back.
 * :class:`DefaultRunner` — what ``runner=None`` resolves to: the process
   runner, run inline (no pool) for a one-chunk input or one worker.
-* :class:`RemoteRunner` — the multi-machine step, detect only: raw CSV
-  chunks are POSTed to a fleet of ``repro serve`` workers
+* :class:`RemoteRunner` — the multi-machine step, detect only.  Its pool is
+  a thread pool and its detect task (:meth:`ShardRunner.detect_task`) POSTs
+  the chunk to a fleet of ``repro serve`` workers
   (``POST /internal/detect-votes``, see :mod:`repro.service.wire` for the
   JSON shapes), each to the least-busy worker, with failover and bounded
-  retries; each response carries that chunk's serialized
-  :class:`DetectionVotes`, merged locally exactly like the other runners' —
-  which is what keeps a fleet detect bit-identical to a serial one.  It
-  refuses protect and dispute: protect's result *is* the rows (raw
-  identifiers in), and a dispute carries decryption keys; neither leaves the
-  vault's host.
+  retries; the response is the ``(rows, votes)`` pair
+  :func:`collect_raw_chunk` returns, merged exactly like the other runners'
+  — which is what keeps a fleet detect bit-identical to a serial one.  It
+  is not local (:attr:`ShardRunner.is_local`), so the executor refuses it
+  protect and dispute: protect's result *is* the rows (raw identifiers in),
+  and a dispute carries decryption keys; neither leaves the vault's host.
 
-All runners are stateless across calls: pools live for one ``collect*``,
-``aggregate*``, ``protect*`` or ``dispute*`` call (the remote fleet's failure bookkeeping
-too), so a runner instance can be shared by many executors and services.
+Runners hold no pool state between calls: a pool lives for one map (the
+remote fleet's failure bookkeeping for one detect task), so a runner
+instance can be shared by many executors and services.
 """
 
 from __future__ import annotations
@@ -79,11 +82,9 @@ from repro.service.options import (
     FleetError,
     HTTPServiceError,
 )
-from repro.service.streaming import DEFAULT_CHUNK_SIZE, iter_raw_chunks, render_csv_rows
+from repro.service.streaming import iter_raw_chunks, render_csv_rows
 from repro.service.wire import metadata_to_json, spec_to_json, votes_from_json
 from repro.telemetry.trace import (
-    PARENT_HEADER,
-    TRACE_HEADER,
     TraceContext,
     adopt as _trace_adopt,
     capture as _trace_capture,
@@ -124,10 +125,10 @@ __all__ = [
     "resolve_runner",
 ]
 
-#: Raised (as a :class:`ValueError`) wherever keyed work — protect's pass 2 or
-#: a dispute — is asked to run on a runner that is not local.  Shared so the
-#: executor can refuse a protect *before* creating the output file and the
-#: runner's raw-chunk map refuses as a backstop.
+#: Raised (as a :class:`ValueError`) when keyed work — either protect pass or
+#: a dispute — is asked to run on a runner that is not local.  The executor
+#: raises it before mapping any chunk, so a refused protect never creates its
+#: output file.
 LOCAL_ONLY_ERROR = (
     "the remote runner is detect-only: protect and dispute handle raw "
     "identifiers and decryption keys, which never leave the vault's host "
@@ -406,12 +407,12 @@ class ProtectPlan:
 class ProtectedChunk:
     """One chunk's pass-2 output: serialised CSV text plus embed counters.
 
-    *text* is the chunk's rows rendered exactly as
-    :meth:`~repro.service.streaming.RowWriter.write_table` would render them
-    (same ``csv`` dialect, no header), so the executor splices chunks into the
-    output file byte-identically to a serial emit.  *seconds* is the worker's
-    own wall clock over the chunk (parse through serialise), reported per
-    chunk in the protect report.
+    *text* is the chunk's rows rendered by
+    :func:`~repro.service.streaming.render_csv_rows` — the dialect of
+    :class:`~repro.service.streaming.RowWriter`, no header — so the executor
+    splices chunks into the output file byte-identically to a serial emit.
+    *seconds* is the worker's own wall clock over the chunk (parse through
+    serialise), reported per chunk in the protect report.
     """
 
     rows: int
@@ -552,11 +553,11 @@ def _bounded_ordered(
 class ShardRunner:
     """Maps a raw-chunk task over a CSV file; yields results in chunk order.
 
-    Every verb is one of four task functions over one map
-    (:meth:`_map_raw_chunks`).  Local subclasses override only :attr:`name`,
-    :meth:`_pool` and :attr:`inline_serial`; the remote fleet replaces
-    :meth:`collect_csv` with chunk POSTs.  Instances hold no pool state
-    between calls.
+    Pure mechanics: the executor builds every verb's task and hands it to
+    the one map (:meth:`map_raw_chunks`).  Subclasses override only
+    :attr:`name`, :meth:`_pool`, :attr:`inline_serial` and — for the remote
+    fleet — :attr:`is_local` and :meth:`detect_task`.  Instances hold no
+    pool state between calls.
     """
 
     name: str = "?"
@@ -568,107 +569,26 @@ class ShardRunner:
     inline_serial: bool = False
 
     #: Whether chunks run on this host.  Only local runners carry keyed work
-    #: — protect's pass 2 (raw identifiers) and dispute (decryption keys).
+    #: — protect's passes (raw identifiers) and dispute (decryption keys).
     #: False only for the remote fleet; the service falls back to a local
-    #: runner when its *default* runner is a detect fleet, and refuses a
-    #: protect when one is requested explicitly.
+    #: runner when its *default* runner is a detect fleet, and the executor
+    #: refuses keyed work on one requested explicitly.
     is_local: bool = True
 
-    # ------------------------------------------------------------- primitives
     def _pool(self, max_workers: int) -> Executor:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------- API
-    def collect_csv(
+    def detect_task(
         self,
-        watermarker: HierarchicalWatermarker,
-        path: str,
+        spec: WatermarkerSpec,
         schema: TableSchema,
         metadata: Mapping[str, object],
         mark_length: int,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-        on_rows: Callable[[int], None] | None = None,
-    ) -> Iterator[DetectionVotes]:
-        """Votes per raw chunk of *path*, parsed against *schema* + *metadata*.
+    ) -> Callable[[str, list[str]], tuple[int, DetectionVotes]]:
+        """Detect's raw-chunk task: :func:`collect_raw_chunk` bound to its arguments."""
+        return functools.partial(collect_raw_chunk, spec, schema, metadata, mark_length=mark_length)
 
-        Workers parse and collect (:func:`collect_raw_chunk`) with an engine
-        rebuilt from *watermarker*'s spec; the caller merges.  *on_rows* is
-        invoked with each chunk's row count, in chunk order.
-        """
-        task = functools.partial(
-            collect_raw_chunk, WatermarkerSpec.of(watermarker), schema, metadata, mark_length=mark_length
-        )
-        for rows, votes in self._map_raw_chunks(
-            task, path, chunk_size=chunk_size, max_workers=max_workers
-        ):
-            if on_rows is not None:
-                on_rows(rows)
-            yield votes
-
-    def aggregate_csv(
-        self,
-        plan: AggregatePlan,
-        path: str,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-    ) -> Iterator[ChunkAggregates]:
-        """Pass-1 partials per raw chunk of *path*, in chunk order.
-
-        Pass 1 of a streamed protect on this runner's pool: workers parse and
-        count (:func:`aggregate_raw_chunk`); the caller merges.
-        """
-        return self._map_raw_chunks(
-            functools.partial(aggregate_raw_chunk, plan),
-            path,
-            chunk_size=chunk_size,
-            max_workers=max_workers,
-        )
-
-    def protect_csv(
-        self,
-        plan: ProtectPlan,
-        path: str,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-    ) -> Iterator[ProtectedChunk]:
-        """One :class:`ProtectedChunk` per raw chunk of *path*, in chunk order.
-
-        Pass 2 of a streamed protect on this runner's pool: the caller's
-        thread only splits lines and splices results; workers parse, rewrite,
-        embed and serialise (:func:`protect_raw_chunk`).
-        """
-        return self._map_raw_chunks(
-            functools.partial(protect_raw_chunk, plan),
-            path,
-            chunk_size=chunk_size,
-            max_workers=max_workers,
-        )
-
-    def dispute_csv(
-        self,
-        plan: DisputePlan,
-        path: str,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-    ) -> Iterator[tuple[ClaimEvidence, ...]]:
-        """Every claim's evidence per raw chunk of *path*, in chunk order.
-
-        Workers parse, decrypt and collect votes (:func:`dispute_raw_chunk`);
-        the caller merges the evidence and finalises once per claim.
-        """
-        return self._map_raw_chunks(
-            functools.partial(dispute_raw_chunk, plan),
-            path,
-            chunk_size=chunk_size,
-            max_workers=max_workers,
-        )
-
-    def _map_raw_chunks(
+    def map_raw_chunks(
         self,
         task: Callable[[str, list[str]], object],
         path: str,
@@ -680,19 +600,17 @@ class ShardRunner:
 
         The caller's thread only splits lines
         (:func:`~repro.service.streaming.iter_raw_chunks`); *task* must be
-        picklable, so thread workers run it in-process while process workers
-        receive it pickled.  At most ``max_workers + 1`` chunks are in flight
-        and results come back in submission order; spans a foreign-process
-        worker recorded are ingested into the caller's tracer.  A record that
-        fails to parse or validate raises
+        picklable for a process pool, which receives it pickled, while thread
+        workers run it in-process.  At most ``max_workers + 1`` chunks are in
+        flight and results come back in submission order.  Each task runs in
+        the caller's trace scope (:func:`_traced_task`); spans a
+        foreign-process worker recorded are ingested into the caller's
+        tracer.  A record that fails to parse or validate raises
         :class:`~repro.relational.io.CsvRecordError` naming *path* and its
-        physical line.  A runner that is not local refuses: the fleet runs
-        only detect, through its own :meth:`collect_csv`.  A runner with
-        :attr:`inline_serial` set runs a one-chunk input, or a one-worker
-        call, in the calling thread with no pool at all.
+        physical line.  A runner with :attr:`inline_serial` set runs a
+        one-chunk input, or a one-worker call, in the calling thread with no
+        pool at all.
         """
-        if not self.is_local:
-            raise ValueError(LOCAL_ONLY_ERROR)
         chunks = _offset_chunks(path, chunk_size)
         if self.inline_serial:
             head = list(itertools.islice(chunks, 2))
@@ -741,13 +659,12 @@ class ProcessRunner(ShardRunner):
 class DefaultRunner(ProcessRunner):
     """The runner used when none is named: processes, inline for one chunk.
 
-    Every raw-chunk map — protect's two passes, ``collect_csv`` and
-    ``dispute_csv`` — runs on a process pool: its tasks parse, encrypt and
-    hash, all under the interpreter lock on threads.  A one-chunk input or a
-    one-worker call runs inline instead (:attr:`~ShardRunner.inline_serial`),
-    since starting an idle pool costs more than one chunk's work.  Output is
-    identical to every other local runner's; only where the work runs
-    differs.
+    Every raw-chunk map — protect's two passes, detect and dispute — runs
+    on a process pool: its tasks parse, encrypt and hash, all under the
+    interpreter lock on threads.  A one-chunk input or a one-worker call
+    runs inline instead (:attr:`~ShardRunner.inline_serial`), since starting
+    an idle pool costs more than one chunk's work.  Output is identical to
+    every other local runner's; only where the work runs differs.
     """
 
     inline_serial = True
@@ -767,7 +684,7 @@ DEFAULT_FLEET_TIMEOUT = 30.0
 
 
 class _FleetCall:
-    """Per-``collect*``-call failover state: one POST per chunk, fleet-wide retries.
+    """Per-detect failover state: one POST per chunk, fleet-wide retries.
 
     Chunk *index* goes to the worker with the fewest POSTs in flight, ties
     broken round-robin from ``index % n``, and fails over to the least-busy
@@ -783,29 +700,12 @@ class _FleetCall:
     retried on later passes, so a recovered worker rejoins without restart.
     """
 
-    def __init__(
-        self,
-        workers: Sequence[tuple[str, object]],
-        attempts: int,
-        context: TraceContext | None = None,
-    ) -> None:
+    def __init__(self, workers: Sequence[tuple[str, object]], attempts: int) -> None:
         self._workers = list(workers)
         self._attempts = max(1, attempts)
         self._lock = threading.Lock()
         self._failures = [0] * len(self._workers)
         self._in_flight = [0] * len(self._workers)
-        # Trace scope of the submitting thread: POSTs run on pool threads, so
-        # the coordinator's trace id travels explicitly (request headers out,
-        # worker spans ingested from the response).
-        self._context = context
-
-    def _trace_headers(self) -> dict[str, str] | None:
-        if self._context is None:
-            return None
-        headers = {TRACE_HEADER: self._context.trace_id}
-        if self._context.parent_id is not None:
-            headers[PARENT_HEADER] = self._context.parent_id
-        return headers
 
     def _record(self, slot: int, *, failed: bool) -> None:
         with self._lock:
@@ -832,6 +732,12 @@ class _FleetCall:
             return slot
 
     def post(self, index: int, payload: dict) -> dict:
+        """POST *payload* as chunk *index*; the worker's response document.
+
+        Called inside the map's trace scope: the client stamps the trace
+        headers from it, and the spans a traced worker ships back go into
+        the live tracer.
+        """
         import http.client as _http_client
 
         n = len(self._workers)
@@ -845,9 +751,8 @@ class _FleetCall:
                 tried.add(slot)
                 url, client = self._workers[slot]
                 try:
-                    with _trace_adopt(self._context):
-                        with _stage_span("http.client.detect_votes", chunk=index, worker=slot):
-                            response = client.detect_votes(payload, headers=self._trace_headers())
+                    with _stage_span("http.client.detect_votes", chunk=index, worker=slot):
+                        response = client.detect_votes(payload)
                 except HTTPServiceError as error:
                     if 400 <= error.status < 500:
                         raise  # auth/data/config error: every worker will refuse alike
@@ -864,8 +769,9 @@ class _FleetCall:
                     errors.append(f"{url}: {error!r}")
                 else:
                     self._record(slot, failed=False)
-                    if self._context is not None and self._context.tracer is not None:
-                        self._context.tracer.ingest(response.get("spans") or ())
+                    tracer = _current_tracer()
+                    if tracer is not None:
+                        tracer.ingest(response.get("spans") or ())
                     return response
                 finally:
                     with self._lock:
@@ -879,24 +785,34 @@ class _FleetCall:
 class RemoteRunner(ShardRunner):
     """Multi-machine detection: chunks out to a worker fleet, votes back.
 
-    Each chunk becomes one ``POST /internal/detect-votes`` against a
-    ``repro serve`` worker, carrying the raw CSV lines, the picklable
-    watermarker spec and the JSON-able frontier metadata (trees are resolved
-    worker-side — the fleet must share the coordinator's ontology and
-    schema).  Responses carry that chunk's :class:`DetectionVotes`, yielded
-    in chunk order, so the executor's merge/finalize is untouched and the
-    result stays bit-identical to serial detection.  Workers never see the
-    vault: the spec carries exactly the key material one detect needs, over
-    the same bearer-token hop the rest of the HTTP surface uses (workers
-    gate the endpoint behind their ``--admin-token``; pass it as *token*).
+    The fleet's pool is a thread pool and its detect task POSTs each chunk
+    (``POST /internal/detect-votes``) to a ``repro serve`` worker, carrying
+    the raw CSV lines, the picklable watermarker spec and the JSON-able
+    frontier metadata (trees are resolved worker-side — the fleet must share
+    the coordinator's ontology and schema).  The response is the chunk's
+    ``(rows, votes)``, so chunks run through the same map, merge and
+    finalize as on every other runner and the result stays bit-identical to
+    serial detection.  Workers never see the vault: the spec carries exactly
+    the key material one detect needs, over the same bearer-token hop the
+    rest of the HTTP surface uses (workers gate the endpoint behind their
+    ``--admin-token``; pass it as *token*).
 
     ``max_workers`` bounds the chunks in flight (concurrent POSTs), each sent
     to the least-busy worker; failures fail over with bounded retries
     (:class:`_FleetCall`), and a fleet with no live workers raises
-    :class:`FleetError`.
+    :class:`FleetError`.  A chunk a worker rejects for a bad record raises
+    :class:`~repro.relational.io.CsvRecordError`, located in the file like
+    on the local runners.  :meth:`close` closes the workers' pooled
+    connections.
     """
 
     name = REMOTE_RUNNER_NAME
+
+    #: Detect-only.  Detection ships small :class:`DetectionVotes` back, but
+    #: protect's result *is* the rows and a dispute decrypts, so a fleet would
+    #: see raw identifiers or decryption keys that its deliberately
+    #: vault-blind workers must never hold (:data:`LOCAL_ONLY_ERROR`).
+    is_local = False
 
     def __init__(
         self,
@@ -931,54 +847,50 @@ class RemoteRunner(ShardRunner):
         """
         return sum(client.connections_opened for _, client in self._workers)
 
-    # ------------------------------------------------------------------- API
-    def collect_csv(
+    def close(self) -> None:
+        """Close the fleet clients' idle keep-alive connections."""
+        for _, client in self._workers:
+            client.close()
+
+    def _pool(self, max_workers: int) -> Executor:
+        return ThreadPoolExecutor(max_workers=max_workers)
+
+    def detect_task(
         self,
-        watermarker: HierarchicalWatermarker,
-        path: str,
+        spec: WatermarkerSpec,
         schema: TableSchema,
         metadata: Mapping[str, object],
         mark_length: int,
-        *,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_workers: int,
-        on_rows: Callable[[int], None] | None = None,
-    ) -> Iterator[DetectionVotes]:
-        spec_json = spec_to_json(WatermarkerSpec.of(watermarker))
-        metadata_json = metadata_to_json(metadata)
+    ) -> Callable[[str, list[str]], tuple[int, DetectionVotes]]:
+        """A task that POSTs each chunk through one :class:`_FleetCall`.
 
-        def payloads() -> Iterator[tuple[int, dict]]:
-            for index, (header, lines) in enumerate(iter_raw_chunks(path, chunk_size)):
-                yield index, {
-                    "spec": spec_json,
-                    "metadata": metadata_json,
-                    "mark_length": mark_length,
-                    "header": header,
-                    "lines": lines,
-                }
+        Workers parse against their own schema, so *schema* is not sent.
+        Chunks are numbered as the pool threads pick them up, which is
+        submission order up to thread scheduling; the number only breaks
+        ties between idle workers and names the chunk in a
+        :class:`FleetError`.
+        """
+        call = _FleetCall(self._workers, self._attempts)
+        request = {
+            "spec": spec_to_json(spec),
+            "metadata": metadata_to_json(metadata),
+            "mark_length": mark_length,
+        }
+        indices = itertools.count()
 
-        for response in self._post_stream(payloads(), max_workers):
-            if on_rows is not None:
-                on_rows(int(response["rows"]))
-            yield votes_from_json(response["votes"])
+        def post(header: str, lines: list[str]) -> tuple[int, DetectionVotes]:
+            try:
+                response = call.post(next(indices), dict(request, header=header, lines=lines))
+            except HTTPServiceError as error:
+                # A worker's 400 for a bad record carries its chunk line, so
+                # the map can locate it in the file; other refusals stay HTTP.
+                line, reason = error.payload.get("line"), error.payload.get("reason")
+                if error.status == 400 and isinstance(line, int) and isinstance(reason, str):
+                    raise CsvRecordError(reason, line=line) from None
+                raise
+            return int(response["rows"]), votes_from_json(response["votes"])
 
-    #: Detect-only.  Detection ships small :class:`DetectionVotes` back, but
-    #: protect's result *is* the rows and a dispute decrypts, so a fleet would
-    #: see raw identifiers or decryption keys that its deliberately
-    #: vault-blind workers must never hold (:data:`LOCAL_ONLY_ERROR`).
-    is_local = False
-
-    # -------------------------------------------------------------- plumbing
-    def _post_stream(
-        self, payloads: Iterable[tuple[int, dict]], max_workers: int
-    ) -> Iterator[dict]:
-        call = _FleetCall(self._workers, self._attempts, context=_trace_capture())
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            yield from _bounded_ordered(
-                lambda item: pool.submit(call.post, item[0], item[1]),
-                payloads,
-                max_workers,
-            )
+        return post
 
 
 def resolve_runner(runner: "str | ShardRunner | None") -> ShardRunner:

@@ -124,12 +124,11 @@ def render_csv_rows(schema: TableSchema, table: Table) -> str:
     """*table*'s rows rendered exactly as :class:`RowWriter` emits them (no header).
 
     The single source of the emit dialect for code that serialises away from
-    the output file — protect pool workers render their chunk with this, the
-    executor splices the text through :meth:`RowWriter.write_text`, and
-    :meth:`RowWriter.write_table` itself goes through here, so the three can
-    never drift apart byte-wise.  One positional ``writerows`` over the
-    zipped column buffers: ``csv.DictWriter.writerow`` reduces to exactly
-    this write for rows with the schema's fieldnames.
+    the output file — protect pool workers render their chunk with this and
+    the executor splices the text through :meth:`RowWriter.write_text`, so
+    the two can never drift apart byte-wise.  One positional ``writerows``
+    over the zipped column buffers: ``csv.DictWriter.writerow`` reduces to
+    exactly this write for rows with the schema's fieldnames.
     """
     names = schema.column_names
     columns = table.column_sequences(names)
@@ -141,7 +140,8 @@ def render_csv_rows(schema: TableSchema, table: Table) -> str:
 class RowWriter:
     """Incrementally fed CSV emitter (context manager) that publishes atomically.
 
-    ``write_table`` appends one chunk's rows; the header is written on entry.
+    ``write_text`` appends one chunk's rendered rows; the header is written
+    on entry.
     Cells serialise via ``str()``, so :class:`~repro.dht.node.Interval` values
     emit the literal the readers parse back.
 
@@ -193,16 +193,13 @@ class RowWriter:
         self._writer.writerow({name: row[name] for name in self._schema.column_names})
         self._rows_written += 1
 
-    def write_table(self, table: Table) -> None:
-        self.write_text(render_csv_rows(self._schema, table), len(table))
-
     def write_text(self, text: str, rows: int) -> None:
         """Append *rows* rows of pre-serialised CSV *text* (no header).
 
         The emit half of runner-parallel protect: workers serialise their own
         chunk with the same ``csv`` dialect :meth:`write_row` uses (``\\r\\n``
         terminators, ``str()`` cell coercion), so appending the text verbatim
-        produces the file a serial :meth:`write_table` loop would — the
+        produces the file a serial :meth:`write_row` loop would — the
         caller vouches for *rows* since the text is not re-scanned.
         """
         with _stage_span("protect.splice", rows=rows):

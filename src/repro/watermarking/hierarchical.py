@@ -388,14 +388,6 @@ class HierarchicalWatermarker:
             )
         return wmd
 
-    def _position(self, ident: object, column: str, wmd_length: int) -> int:
-        """Position of this cell's bit within the replicated mark ``wmd``."""
-        return self._engine.position(ident, column, wmd_length)
-
-    def _base_index(self, ident: object, column: str, level: int, size: int) -> int:
-        """The keyed base index ``H(t.ident, k2) mod |S|`` of the permutation."""
-        return self._engine.base_index(ident, column, level, size)
-
     @staticmethod
     def _encode_parity(base_index: int, bit: int, size: int) -> int:
         """``SetµBit``: force the index parity to *bit*, staying inside the set.
@@ -576,12 +568,3 @@ class HierarchicalWatermarker:
             corrected_bits=decoded.corrected_bits,
             bit_confidence=decoded.bit_confidence,
         )
-
-    @staticmethod
-    def _resolve_cell(tree: DomainHierarchyTree, value: object) -> DHTNode | None:
-        """Map a (possibly attacked) cell value to a tree node, or ``None``."""
-        return _resolve_value(tree, value)
-
-    def _read_levels(self, front: _Frontiers, node: DHTNode) -> tuple[list[int], list[float]]:
-        """Read the index parity at every level from *node* up to the maximal frontier."""
-        return front.read_levels(node)

@@ -126,3 +126,20 @@ def detect_via_csv(tmp_path_factory):
         )
 
     return detect
+
+
+@pytest.fixture
+def remote_runner():
+    """Builds ``RemoteRunner``s whose fleet connections close when the test ends."""
+    from repro.service.runners import RemoteRunner
+
+    runners = []
+
+    def build(*args, **kwargs):
+        runner = RemoteRunner(*args, **kwargs)
+        runners.append(runner)
+        return runner
+
+    yield build
+    for runner in runners:
+        runner.close()

@@ -475,6 +475,33 @@ class TestRemoteRunnerCLI:
         finally:
             server.close()
 
+    def test_fleet_detect_leaves_no_unclosed_socket(self, remote_env):
+        """A fleet detect closes its keep-alive connections before the process exits."""
+        import subprocess
+        import sys
+
+        from repro.service import KeyVault, ProtectionService
+        from repro.service.http import ProtectionApp
+        from repro.service.http.prefork import serve_worker_in_thread
+
+        vault, protected_csv = remote_env
+        server, url = serve_worker_in_thread(ProtectionApp(ProtectionService(KeyVault(vault))))
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "repro",
+                 "detect", protected_csv, "--vault", vault, "--dataset", "d",
+                 "--runner", "remote", "--workers", "2", "--worker-url", url, "--json"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+        finally:
+            server.close()
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["runner"] == "remote"
+        assert "ResourceWarning" not in done.stderr, done.stderr
+
     def test_worker_url_requires_remote_runner(self, remote_env):
         vault, protected_csv = remote_env
         with pytest.raises(SystemExit):

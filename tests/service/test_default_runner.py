@@ -19,6 +19,8 @@ from repro.datagen.medical import generate_medical_table
 from repro.service import KeyVault, ProtectionService
 from repro.service import runners as runners_module
 from repro.service.executor import ShardExecutor
+from repro.service.http import ProtectionApp
+from repro.service.http.prefork import serve_worker_in_thread
 from repro.service.streaming import DEFAULT_CHUNK_SIZE
 
 ROWS = 2_500
@@ -104,12 +106,15 @@ class TestNoPoolWhenNothingToShare:
             )
 
 
-#: label -> (runner, workers): every way a local verb can run.
+#: label -> (runner, workers): every way a verb can run.  ``"remote"`` is a
+#: 2-worker fleet: it detects, and its service protects and disputes on the
+#: local default runner.
 IDENTITY_RUNNERS = {
     "default": (None, 2),
     "thread": ("thread", 2),
     "process": ("process", 2),
     "one-worker": (None, 1),
+    "fleet": ("remote", 2),
 }
 
 
@@ -133,16 +138,32 @@ def _attacked(protected: str, path: str) -> str:
 MATRIX_ROWS = 150
 
 
+@pytest.fixture(scope="module")
+def fleet_urls(tmp_path_factory):
+    """Two in-process ``repro serve`` workers over throwaway vaults."""
+    base = tmp_path_factory.mktemp("matrix-fleet")
+    servers = [
+        serve_worker_in_thread(ProtectionApp(ProtectionService(KeyVault.init(str(base / name)))))
+        for name in ("w1", "w2")
+    ]
+    yield [url for _, url in servers]
+    for server, _ in servers:
+        server.close()
+
+
 class TestRunnerIdentityMatrix:
     @pytest.mark.parametrize("chunk_size", [1, 7, DEFAULT_CHUNK_SIZE])
-    def test_every_runner_gives_the_same_outputs(self, tmp_path, chunk_size):
+    def test_every_runner_gives_the_same_outputs(
+        self, tmp_path, chunk_size, fleet_urls, remote_runner
+    ):
         """Protect bytes, clean and attacked detect reports and dispute verdicts agree."""
         raw = str(tmp_path / "raw.csv")
         generate_medical_table(size=MATRIX_ROWS, seed=43).to_csv(raw)
         observed = {}
-        for label, (runner, workers) in IDENTITY_RUNNERS.items():
+        for label, (name, workers) in IDENTITY_RUNNERS.items():
             base = tmp_path / label
             base.mkdir()
+            runner = remote_runner(fleet_urls) if name == "remote" else name
             service = ProtectionService(
                 KeyVault.init(str(base / "vault")),
                 executor=ShardExecutor(workers, runner=runner),
@@ -163,7 +184,7 @@ class TestRunnerIdentityMatrix:
                 service.detect("owner", path, dataset_id="d").to_json() for path in (out, attacked)
             ]
             for report in detects:
-                assert report.pop("runner") == ("process" if runner is None else runner)
+                assert report.pop("runner") == ("process" if name is None else name)
                 assert report.pop("shards") == workers
             observed[label] = {
                 "protect_sha256": hashlib.sha256(open(out, "rb").read()).hexdigest(),

@@ -259,8 +259,11 @@ class TestEdgeCases:
 class _NoPostRunner(RemoteRunner):
     """A fleet runner that fails the test if any chunk is ever POSTed."""
 
-    def _post_stream(self, payloads, max_workers):
-        raise AssertionError("a dispute chunk was POSTed to the detect fleet")
+    def detect_task(self, spec, schema, metadata, mark_length):
+        def post(header, lines):
+            raise AssertionError("a dispute chunk was POSTed to the detect fleet")
+
+        return post
 
 
 def _dead_url() -> str:
@@ -283,8 +286,9 @@ class TestRemoteCoordinator:
         )
 
     def test_remote_runner_refuses_a_dispute(self, env):
+        executor = ShardExecutor(1, runner=_NoPostRunner([_dead_url()]))
         with pytest.raises(ValueError, match="decryption keys"):
-            list(_NoPostRunner([_dead_url()]).dispute_csv(None, env.attacked, max_workers=1))
+            executor.dispute_csv(None, env.attacked)
 
     def test_served_dispute_over_http(self, env):
         executor = ShardExecutor(2, runner=_NoPostRunner([_dead_url()]))

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.datagen.medical import generate_medical_table
-from repro.service import KeyVault, ProtectionService, RemoteRunner
+from repro.service import KeyVault, ProtectionService
 from repro.service.http import HTTPServiceError, ProtectionApp, ServiceClient
 from repro.service.http.prefork import RateLimiter, serve_worker_in_thread
 from repro.telemetry.trace import Tracer, activate
@@ -491,9 +491,9 @@ class TestFleetKeepAlive:
         for worker in workers:
             worker.close()
 
-    def test_chunk_posts_reuse_connections_bit_identically(self, fleet):
+    def test_chunk_posts_reuse_connections_bit_identically(self, fleet, remote_runner):
         service = fleet["service"]
-        runner = RemoteRunner(fleet["urls"])
+        runner = remote_runner(fleet["urls"])
         thread = service.detect("owner", fleet["protected"], dataset_id="big", workers=4)
         remote = service.detect(
             "owner", fleet["protected"], dataset_id="big", workers=4, runner=runner
@@ -508,9 +508,9 @@ class TestFleetKeepAlive:
         # count stays at the concurrency level, far below the POST count.
         assert runner.connections_opened <= 5
 
-    def test_traced_fleet_detect_assembles_one_tree(self, fleet):
+    def test_traced_fleet_detect_assembles_one_tree(self, fleet, remote_runner):
         service = fleet["service"]
-        runner = RemoteRunner(fleet["urls"])
+        runner = remote_runner(fleet["urls"])
         tracer = Tracer()
         with activate(tracer):
             service.detect("owner", fleet["protected"], dataset_id="big", runner=runner)

@@ -14,6 +14,7 @@ import socket
 import pytest
 
 from repro.datagen.medical import generate_medical_table
+from repro.relational.io import CsvRecordError
 from repro.service import (
     FleetError,
     KeyVault,
@@ -105,7 +106,7 @@ def attacked_csv(fleet):
 class TestFleetBitIdentity:
     """The ISSUE acceptance: 2 live workers == thread runner, bit for bit, at 20k."""
 
-    def test_clean_20k(self, fleet):
+    def test_clean_20k(self, fleet, remote_runner):
         service = fleet["service"]
         thread = service.detect(
             "owner", fleet["protected"], dataset_id="big", workers=4, runner="thread"
@@ -115,14 +116,14 @@ class TestFleetBitIdentity:
             fleet["protected"],
             dataset_id="big",
             workers=4,
-            runner=RemoteRunner(fleet["urls"]),
+            runner=remote_runner(fleet["urls"]),
         )
         assert _outcomes_equal(remote, thread)
         assert remote.rows == 20_000
         assert remote.runner == "remote" and thread.runner == "thread"
         assert remote.mark_loss == 0.0
 
-    def test_attacked_20k(self, fleet, attacked_csv):
+    def test_attacked_20k(self, fleet, attacked_csv, remote_runner):
         service = fleet["service"]
         thread = service.detect("owner", attacked_csv, dataset_id="big", workers=4, runner="thread")
         remote = service.detect(
@@ -130,13 +131,13 @@ class TestFleetBitIdentity:
             attacked_csv,
             dataset_id="big",
             workers=4,
-            runner=RemoteRunner(fleet["urls"]),
+            runner=remote_runner(fleet["urls"]),
         )
         assert _outcomes_equal(remote, thread)
         assert remote.rows == 14_000
 
     def test_framework_protected_table_through_the_fleet(
-        self, fleet, protection_framework, protected_small, detect_via_csv
+        self, fleet, protection_framework, protected_small, detect_via_csv, remote_runner
     ):
         """An in-library protected table, written out, detects on the fleet as serially."""
         from repro.watermarking.hierarchical import HierarchicalWatermarker
@@ -145,7 +146,7 @@ class TestFleetBitIdentity:
         binned = protected_small.watermarked
         serial = watermarker.detect(binned, 20)
         remote = detect_via_csv(
-            ShardExecutor(2, runner=RemoteRunner(fleet["urls"])),
+            ShardExecutor(2, runner=remote_runner(fleet["urls"])),
             watermarker,
             binned,
             20,
@@ -159,10 +160,10 @@ class TestFleetBitIdentity:
 
 
 class TestFailover:
-    def test_dead_worker_in_fleet_is_survived(self, fleet):
+    def test_dead_worker_in_fleet_is_survived(self, fleet, remote_runner):
         service = fleet["service"]
         thread = service.detect("owner", fleet["protected"], dataset_id="big", workers=2)
-        limping = RemoteRunner([_dead_url(), *fleet["urls"]])
+        limping = remote_runner([_dead_url(), *fleet["urls"]])
         remote = service.detect(
             "owner", fleet["protected"], dataset_id="big", workers=2, runner=limping
         )
@@ -182,19 +183,25 @@ class TestFailover:
         with pytest.raises(ValueError, match="at least one worker url"):
             RemoteRunner([])
 
-    def test_malformed_suspect_csv_fails_fast_with_the_parse_error(self, fleet, tmp_path):
-        """A data error is a 400 from the worker, not a fleet-wide retry storm."""
+    def test_malformed_suspect_csv_fails_fast_with_the_parse_error(
+        self, fleet, tmp_path, remote_runner
+    ):
+        """A data error is a 400 from the worker, not a fleet-wide retry storm.
+
+        The 400 carries the record's chunk line, so the coordinator raises
+        the parse error at its line in the file, as the local runners do.
+        """
         bad = str(tmp_path / "bad.csv")
         with open(bad, "w", encoding="utf-8") as handle:
             handle.write("ssn,age,zip_code,doctor,symptom,prescription\n")
             handle.write("123,notanage,99501,Dr-A,cough,aspirin\n")
         service = fleet["service"]
-        with pytest.raises(HTTPServiceError) as excinfo:
+        with pytest.raises(CsvRecordError) as excinfo:
             service.detect(
-                "owner", bad, dataset_id="big", runner=RemoteRunner(fleet["urls"])
+                "owner", bad, dataset_id="big", runner=remote_runner(fleet["urls"])
             )
-        assert excinfo.value.status == 400
-        assert "parse" in excinfo.value.message
+        assert excinfo.value.path == bad and excinfo.value.line == 2
+        assert str(excinfo.value).startswith(f"{bad}, line 2: column 'age': ")
 
     def test_wrongly_typed_spec_value_is_served_400(self, fleet):
         """A worker rejects ``"level_weighting": "false"`` instead of weighting votes."""
@@ -326,6 +333,54 @@ class TestFailover:
         assert [client.peak for client in clients] == [2, 2]
 
 
+#: The bad-record suspect: 1,200 rows of the protected table in 500-row
+#: chunks (3 chunks), data row 1,101 — file line 1,102 — has age ``abc``.
+BAD_CHUNK, BAD_ROWS, BAD_LINE = 500, 1_200, 1_102
+
+
+@pytest.fixture(scope="module")
+def bad_cell_csv(fleet):
+    path = os.path.join(fleet["base"], "bad-cell.csv")
+    with open(fleet["protected"], newline="", encoding="utf-8") as handle:
+        header, *rows = list(csv.reader(handle))
+    rows = rows[:BAD_ROWS]
+    rows[BAD_LINE - 2][header.index("age")] = "abc"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows([header, *rows])
+    return path
+
+
+class TestFleetBadRecord:
+    """A bad cell past the first chunk is reported at its file line, as locally."""
+
+    def test_detect_raises_at_the_file_line(self, fleet, bad_cell_csv, remote_runner):
+        service = ProtectionService(KeyVault(fleet["vault"]), chunk_size=BAD_CHUNK)
+        runner = remote_runner(fleet["urls"])
+        with pytest.raises(CsvRecordError) as excinfo:
+            service.detect("owner", bad_cell_csv, dataset_id="big", workers=2, runner=runner)
+        with pytest.raises(CsvRecordError) as local:
+            service.detect("owner", bad_cell_csv, dataset_id="big", workers=2, runner="thread")
+        assert excinfo.value.path == bad_cell_csv and excinfo.value.line == BAD_LINE
+        assert str(excinfo.value) == str(local.value)
+        assert str(excinfo.value).startswith(f"{bad_cell_csv}, line {BAD_LINE}: column 'age': ")
+
+    def test_fleet_coordinator_answers_400_at_the_body_line(
+        self, fleet, bad_cell_csv, remote_runner
+    ):
+        coordinator = ProtectionService(
+            KeyVault(fleet["vault"]), runner=remote_runner(fleet["urls"]), chunk_size=BAD_CHUNK
+        )
+        server, url = serve_worker_in_thread(ProtectionApp(coordinator))
+        try:
+            token = KeyVault(fleet["vault"]).issue_token("owner")
+            with pytest.raises(HTTPServiceError) as excinfo:
+                ServiceClient(url, token).detect("owner", "big", bad_cell_csv)
+        finally:
+            server.close()
+        assert excinfo.value.status == 400
+        assert excinfo.value.message.startswith(f"request body, line {BAD_LINE}: column 'age': ")
+
+
 class TestFleetAuth:
     """The coordinator->worker hop honours the workers' admin (fleet) token."""
 
@@ -337,26 +392,26 @@ class TestFleetAuth:
         yield url
         server.close()
 
-    def test_missing_fleet_token_is_401_fail_fast(self, fleet, gated):
+    def test_missing_fleet_token_is_401_fail_fast(self, fleet, gated, remote_runner):
         service = fleet["service"]
         with pytest.raises(HTTPServiceError) as excinfo:
             service.detect(
-                "owner", fleet["protected"], dataset_id="big", runner=RemoteRunner([gated])
+                "owner", fleet["protected"], dataset_id="big", runner=remote_runner([gated])
             )
         assert excinfo.value.status == 401
 
-    def test_wrong_fleet_token_is_403_fail_fast(self, fleet, gated):
+    def test_wrong_fleet_token_is_403_fail_fast(self, fleet, gated, remote_runner):
         service = fleet["service"]
         with pytest.raises(HTTPServiceError) as excinfo:
             service.detect(
                 "owner",
                 fleet["protected"],
                 dataset_id="big",
-                runner=RemoteRunner([gated], token="wrong"),
+                runner=remote_runner([gated], token="wrong"),
             )
         assert excinfo.value.status == 403
 
-    def test_fleet_token_authorises_the_hop(self, fleet, gated):
+    def test_fleet_token_authorises_the_hop(self, fleet, gated, remote_runner):
         service = fleet["service"]
         thread = service.detect("owner", fleet["protected"], dataset_id="big", workers=2)
         remote = service.detect(
@@ -364,20 +419,20 @@ class TestFleetAuth:
             fleet["protected"],
             dataset_id="big",
             workers=2,
-            runner=RemoteRunner([gated], token="fleet-secret"),
+            runner=remote_runner([gated], token="fleet-secret"),
         )
         assert _outcomes_equal(remote, thread)
 
 
 class TestWorkerMetrics:
-    def test_workers_account_for_served_chunks(self, fleet):
+    def test_workers_account_for_served_chunks(self, fleet, remote_runner):
         service = fleet["service"]
         service.detect(
             "owner",
             fleet["protected"],
             dataset_id="big",
             workers=2,
-            runner=RemoteRunner(fleet["urls"]),
+            runner=remote_runner(fleet["urls"]),
         )
         snapshots = [ServiceClient(url).metrics() for url in fleet["urls"]]
         total_rows = sum(snapshot["worker_chunks"]["rows"] for snapshot in snapshots)
@@ -392,11 +447,11 @@ class TestWorkerMetrics:
             assert snapshot["responses"].get("200", 0) >= 1
             assert snapshot["worker_chunks"]["seconds"] > 0.0
 
-    def test_coordinator_serve_reports_remote_runner_timings(self, fleet, tmp_path):
+    def test_coordinator_serve_reports_remote_runner_timings(self, fleet, tmp_path, remote_runner):
         """A gateway 'repro serve --runner remote' records detects under 'remote'."""
         coordinator = ProtectionService(
             KeyVault(fleet["vault"]),
-            executor=ShardExecutor(2, runner=RemoteRunner(fleet["urls"])),
+            executor=ShardExecutor(2, runner=remote_runner(fleet["urls"])),
         )
         app = ProtectionApp(coordinator)
         server, url = serve_worker_in_thread(app)

@@ -28,7 +28,7 @@ def _detection_equal(left, right):
 
 
 def _suspect_metadata(binned):
-    """The detect metadata of *binned*, as ``collect_csv`` takes it."""
+    """The detect metadata of *binned*, as ``detect_task`` takes it."""
     fields = ("trees", "identifying_columns", "quasi_columns", "ultimate_nodes", "maximal_nodes")
     return {name: getattr(binned, name) for name in fields}
 
@@ -234,27 +234,18 @@ class TestServiceRunnerSelection:
         assert outcome.mark_loss == 0.0
 
     def test_worker_processes_see_identical_votes(self, watermarker, protected_small, tmp_path):
-        """collect_csv ships raw chunks; per-chunk votes and row counts agree."""
+        """The detect task ships raw chunks; per-chunk votes and row counts agree."""
         binned = protected_small.watermarked
         path = str(tmp_path / "suspect.csv")
         binned.table.to_csv(path)
         metadata = _suspect_metadata(binned)
 
         def collect(runner):
-            rows = []
-            votes = list(
-                runner.collect_csv(
-                    watermarker,
-                    path,
-                    binned.table.schema,
-                    metadata,
-                    20,
-                    chunk_size=700,
-                    max_workers=2,
-                    on_rows=rows.append,
-                )
+            task = runner.detect_task(
+                WatermarkerSpec.of(watermarker), binned.table.schema, metadata, 20
             )
-            return rows, votes
+            results = list(runner.map_raw_chunks(task, path, chunk_size=700, max_workers=2))
+            return [rows for rows, _ in results], [votes for _, votes in results]
 
         thread_rows, thread_votes = collect(ThreadRunner())
         process_rows, process_votes = collect(ProcessRunner())

@@ -15,7 +15,7 @@ import urllib.request
 import pytest
 
 from repro.datagen.medical import generate_medical_table
-from repro.service import KeyVault, ProtectionService, RemoteRunner
+from repro.service import KeyVault, ProtectionService
 from repro.service.http import ProtectionApp, ServiceClient
 from repro.service.http.app import TRACE_RESPONSE_HEADER
 from repro.service.http.prefork import serve_worker_in_thread
@@ -192,7 +192,7 @@ class TestFleetTrace:
         for server in servers:
             server.close()
 
-    def test_trace_covers_coordinator_and_worker_stages(self, env, workers):
+    def test_trace_covers_coordinator_and_worker_stages(self, env, workers, remote_runner):
         urls, _ = workers
         service = ProtectionService(KeyVault(env["vault"]), chunk_size=1_000)
         tracer = Tracer()
@@ -202,7 +202,7 @@ class TestFleetTrace:
                 env["protected"],
                 dataset_id="data",
                 workers=2,
-                runner=RemoteRunner(urls),
+                runner=remote_runner(urls),
             )
         assert traced.runner == "remote"
         spans = tracer.spans
@@ -223,11 +223,11 @@ class TestFleetTrace:
         thread = service.detect("owner", env["protected"], dataset_id="data", workers=2)
         assert _detect_key(traced) == _detect_key(thread)
 
-    def test_untraced_fleet_detect_ships_no_spans(self, env, workers):
+    def test_untraced_fleet_detect_ships_no_spans(self, env, workers, remote_runner):
         urls, apps = workers
         service = ProtectionService(KeyVault(env["vault"]), chunk_size=1_000)
         outcome = service.detect(
-            "owner", env["protected"], dataset_id="data", workers=2, runner=RemoteRunner(urls)
+            "owner", env["protected"], dataset_id="data", workers=2, runner=remote_runner(urls)
         )
         assert outcome.rows == 4_000
 
