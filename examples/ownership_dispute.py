@@ -56,7 +56,7 @@ def main() -> None:
         eta=50,
     )
     protected = hospital.protect(table)
-    owner_claim = hospital.owner_claim("hospital")
+    owner_claim = hospital.owner_claim(protected.registered_statistic, "hospital")
     print(f"  registered statistic v = {protected.registered_statistic:,.0f}")
     print(f"  registered mark F(v)   = {protected.mark}")
 

@@ -106,7 +106,7 @@ def run_ownership_ablation(config: ExperimentConfig | None = None) -> list[Owner
     workload = build_workload(config)
     framework = workload.framework
     protected = workload.protected
-    owner_claim = framework.owner_claim("hospital")
+    owner_claim = framework.owner_claim(protected.registered_statistic, "hospital")
 
     outcomes: list[OwnershipAblation] = []
 

@@ -69,21 +69,22 @@ class ProtectionFramework:
         max_mark_bit_errors: int = 2,
         code: str | None = None,
     ) -> None:
-        self._trees = dict(trees)
         self._binning_agent = BinningAgent(trees, usage_metrics, k_spec, encryption_key)
         self._encryption_key = encryption_key
         self._watermark_key = WatermarkKey.from_secret(watermark_secret, eta)
         self._mark_length = mark_length
         self._copies = copies
         self._watermark_columns = tuple(watermark_columns) if watermark_columns is not None else None
-        self._level_weighting = level_weighting
-        self._code = code
         self._registry = OwnershipRegistry(
             mark_length=mark_length, tau=ownership_tau, max_bit_errors=max_mark_bit_errors
         )
-        self._owner_statistic: float | None = None
-        self._owner_mark: Mark | None = None
-        self._watermarker: HierarchicalWatermarker | None = None
+        self._watermarker = HierarchicalWatermarker(
+            self._watermark_key,
+            columns=self._watermark_columns,
+            copies=copies,
+            level_weighting=level_weighting,
+            code=code,
+        )
 
     # ------------------------------------------------------------- properties
     @property
@@ -115,11 +116,6 @@ class ProtectionFramework:
     def watermark_columns(self) -> tuple[str, ...] | None:
         return self._watermark_columns
 
-    @property
-    def registered_statistic(self) -> float | None:
-        """The owner statistic ``v`` of the last/restored registration."""
-        return self._owner_statistic
-
     def watermarker(self) -> HierarchicalWatermarker:
         """The configured hierarchical watermarker (shared by protect/verify).
 
@@ -129,14 +125,6 @@ class ProtectionFramework:
         attacked variant with mostly unchanged idents) reuses the cached
         per-tuple digests instead of recomputing them.
         """
-        if self._watermarker is None:
-            self._watermarker = HierarchicalWatermarker(
-                self._watermark_key,
-                columns=self._watermark_columns,
-                copies=self._copies,
-                level_weighting=self._level_weighting,
-                code=self._code,
-            )
         return self._watermarker
 
     # -------------------------------------------------------------------- API
@@ -148,10 +136,8 @@ class ProtectionFramework:
         statistic, mark = self._registry.derive_mark(
             [row[column] for row in table for column in identifying]
         )
-        self._owner_statistic, self._owner_mark = statistic, mark
-
         binning_result = self._binning_agent.bin(table)
-        embedding = self.watermarker().embed(binning_result.binned, mark)
+        embedding = self._watermarker.embed(binning_result.binned, mark)
         return ProtectedData(
             watermarked=embedding.watermarked,
             binned=binning_result.binned,
@@ -161,56 +147,31 @@ class ProtectionFramework:
             registered_statistic=statistic,
         )
 
-    def register_statistic(self, statistic: float) -> Mark:
-        """Register ownership from an already-computed identifier statistic.
-
-        The streaming ingest accumulates the statistic in its first pass
-        (identical, float for float, to what :meth:`protect` computes over a
-        materialised table) and registers it here before embedding.
-        """
-        mark = self._registry.mark_for_statistic(statistic)
-        self._owner_statistic, self._owner_mark = statistic, mark
-        return mark
-
-    def restore_registration(self, statistic: float, mark: Mark | None = None) -> Mark:
-        """Re-hydrate the court-critical owner state from persistent storage.
-
-        A fresh process holding only the vault record (statistic + secrets)
-        calls this so :meth:`owner_claim` and mark comparisons work without a
-        prior :meth:`protect`.  When *mark* is given it must equal ``F(v)``
-        for the stored statistic — a mismatch means the vault record was
-        corrupted or belongs to different registry parameters.
-        """
-        expected = self._registry.mark_for_statistic(statistic)
-        if mark is not None and mark.bits != expected.bits:
-            raise ValueError(
-                "stored mark does not match F(statistic) under the registry parameters; "
-                "the vault record is corrupt or was written with different settings"
-            )
-        self._owner_statistic, self._owner_mark = statistic, expected
-        return expected
-
     def detect(self, suspect: BinnedTable) -> DetectionReport:
         """Run mark detection on a (possibly attacked) table."""
-        return self.watermarker().detect(suspect, self._mark_length)
+        return self._watermarker.detect(suspect, self._mark_length)
 
     def mark_loss(self, suspect: BinnedTable, original_mark: Mark) -> float:
         """Fraction of mark bits lost in *suspect* relative to *original_mark*."""
         return mark_loss(original_mark, self.detect(suspect).mark)
 
-    def owner_claim(self, claimant: str = "owner") -> OwnershipClaim:
-        """The claim the owner brings to a dispute (requires a prior ``protect``)."""
-        if self._owner_statistic is None or self._owner_mark is None:
-            raise RuntimeError("protect() must be called before building the owner's claim")
+    def owner_claim(self, statistic: float, claimant: str = "owner") -> OwnershipClaim:
+        """The claim an owner who registered *statistic* brings to a dispute.
+
+        The claim's mark is ``F(statistic)`` under this framework's registry;
+        the framework itself keeps no registration, so any process holding the
+        statistic (``ProtectedData.registered_statistic`` or a vault record)
+        builds the same claim.
+        """
         return OwnershipClaim(
             claimant=claimant,
-            registered_statistic=self._owner_statistic,
-            mark=self._owner_mark,
+            registered_statistic=statistic,
+            mark=self._registry.mark_for_statistic(statistic),
             watermark_key=self._watermark_key,
             encryption_key=self._encryption_key,
             copies=self._copies,
             columns=self._watermark_columns,
-            code=self.watermarker().code_name,
+            code=self._watermarker.code_name,
         )
 
     def resolve_dispute(self, disputed: BinnedTable, claims: Sequence[OwnershipClaim]):

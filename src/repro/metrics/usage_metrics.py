@@ -135,7 +135,8 @@ class UsageMetrics:
 
     * ``maximal_nodes`` — explicit frontier (node names) per column, the
       paper's preferred, directly-given form, or
-    * ``bounds`` — Equation (4) bounds compiled off-line on first use.
+    * ``bounds`` — Equation (4) bounds compiled off-line from the caller's
+      per-leaf counts on every query (the frontier depends on the counts).
 
     ``watermark_slack`` implements the remark at the end of Section 5.1: the
     bounds used to *derive* the frontier can be set slightly lower than the
@@ -146,7 +147,6 @@ class UsageMetrics:
     maximal_node_names: dict[str, tuple[str, ...]] = field(default_factory=dict)
     bounds: InformationLossBounds | None = None
     watermark_slack: float = 0.0
-    _cache: dict[str, list[DHTNode]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.watermark_slack < 1.0:
@@ -166,7 +166,7 @@ class UsageMetrics:
     def from_bounds(
         cls, bounds: InformationLossBounds, *, watermark_slack: float = 0.0
     ) -> "UsageMetrics":
-        """Build metrics from Equation (4) bounds (compiled lazily per column)."""
+        """Build metrics from Equation (4) bounds (compiled per query from leaf counts)."""
         return cls(bounds=bounds, watermark_slack=watermark_slack)
 
     @classmethod
@@ -198,8 +198,6 @@ class UsageMetrics:
         are compiled with :func:`derive_maximal_nodes`, which requires the
         per-leaf entry *counts* of the column.
         """
-        if column in self._cache:
-            return list(self._cache[column])
         if column in self.maximal_node_names:
             frontier = [tree.node(name) for name in self.maximal_node_names[column]]
             if not tree.is_valid_cut(frontier):
@@ -216,8 +214,7 @@ class UsageMetrics:
         else:
             # No constraint specified: the root cut (generalisation unconstrained).
             frontier = [tree.root]
-        self._cache[column] = frontier
-        return list(frontier)
+        return frontier
 
     def allows_cut(
         self,

@@ -31,11 +31,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "ColumnRow": ".table",
         "ColumnStore": ".table",
         "TypedColumn": ".table",
-        "select_where": ".query",
-        "delete_where": ".query",
-        "project": ".query",
-        "group_by_count": ".query",
-        "equals": ".query",
-        "in_range": ".query",
     },
 )

@@ -180,7 +180,10 @@ class ProtectionService:
     them the batched hash engines and their digest caches) are built lazily
     per tenant and reused across calls, so a detect following a protect in
     the same process still gets PR 1's warm-cache behaviour — while a fresh
-    process reconstructs everything from the vault alone.
+    process reconstructs everything from the vault alone.  A framework holds
+    no dataset state: each verb takes the registered statistic and mark from
+    its own pass 1 or the vault record, so verbs may run concurrently on one
+    service and each result depends only on the vault and the verb's inputs.
     """
 
     def __init__(
@@ -327,7 +330,7 @@ class ProtectionService:
             for column, tree in trees.items()
         }
 
-        mark = framework.register_statistic(statistic)
+        mark = framework.registry.mark_for_statistic(statistic)
         agent = framework.binning_agent
         plan = agent.plan_from_counts(leaf_counts, columns=quasi)
         losses = plan.ultimate.information_losses(leaf_counts)
@@ -367,7 +370,7 @@ class ProtectionService:
                 source=os.path.abspath(input_csv),
             ),
         )
-        self._claims.add_claim(dataset_id, framework.owner_claim(tenant_id))
+        self._claims.add_claim(dataset_id, framework.owner_claim(statistic, tenant_id))
         self._record_audit(
             "protect",
             tenant_id,
@@ -450,9 +453,12 @@ class ProtectionService:
         except VaultError:
             stored = None
         if stored is not None:
-            expected = framework.restore_registration(
-                stored.registered_statistic, Mark.from_string(stored.mark_bits)
-            )
+            expected = framework.registry.mark_for_statistic(stored.registered_statistic)
+            if Mark.from_string(stored.mark_bits).bits != expected.bits:
+                raise ValueError(
+                    "stored mark does not match F(statistic) under the registry parameters; "
+                    "the vault record is corrupt or was written with different settings"
+                )
 
         executor = self._executor_for(workers, runner)
         watermarker = framework.watermarker()

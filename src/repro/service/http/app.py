@@ -56,7 +56,6 @@ import logging
 import os
 import re
 import tempfile
-import threading
 import time
 from typing import Callable, Iterable, Iterator, Mapping
 from urllib.parse import parse_qs
@@ -200,11 +199,9 @@ def _iter_request_body(environ: Mapping[str, object]) -> Iterator[bytes]:
 class ProtectionApp:
     """The WSGI callable wrapping one :class:`ProtectionService`.
 
-    Thread-safe for threading WSGI servers: vault/claim writes are already
-    serialised as registry transactions, and the one in-process hazard —
-    two concurrent protects mutating a shared framework's registration state
-    — is serialised by an app-level lock (protect is minutes-per-call at
-    scale; the lock is not the bottleneck).
+    Thread-safe for threading WSGI servers: vault/claim writes are
+    serialised as registry transactions, and the service's cached frameworks
+    hold no dataset state, so protects and detects run concurrently.
     """
 
     def __init__(
@@ -220,7 +217,6 @@ class ProtectionApp:
         self._auth = Authenticator(service.vault, admin_token=admin_token)
         self._max_upload_bytes = max_upload_bytes
         self._spool_dir = spool_dir
-        self._protect_lock = threading.Lock()
         self._metrics = ServiceMetrics()
         #: Structured-event sink (``repro serve --log-json``); None = silent.
         self._logger = logger
@@ -465,16 +461,15 @@ class ProtectionApp:
         output = self._temp_path("protected")
         started = time.perf_counter()
         try:
-            with self._protect_lock:
-                outcome = self._service.protect(
-                    tenant,
-                    upload,
-                    output,
-                    dataset_id=dataset,
-                    chunk_size=chunk_size,
-                    workers=workers,
-                    runner=runner,
-                )
+            outcome = self._service.protect(
+                tenant,
+                upload,
+                output,
+                dataset_id=dataset,
+                chunk_size=chunk_size,
+                workers=workers,
+                runner=runner,
+            )
         except BaseException:
             _unlink_quietly(output)
             raise

@@ -215,7 +215,7 @@ class OwnershipRegistry:
         return statistic, self.mark_for_statistic(statistic)
 
     def mark_for_statistic(self, statistic: float) -> Mark:
-        """``F(v)`` for an already-computed statistic (vault re-hydration path)."""
+        """``F(v)`` for an already-computed statistic (streamed protect, detect, claims)."""
         return Mark.from_statistic(statistic, self._mark_length, precision=self._precision)
 
     # ---------------------------------------------------------------- disputes

@@ -6,7 +6,6 @@ from repro.attacks.addition import SubsetAdditionAttack
 from repro.attacks.alteration import SubsetAlterationAttack
 from repro.attacks.deletion import DeletionMode, SubsetDeletionAttack
 from repro.attacks.generalization_attack import GeneralizationAttack
-from repro.relational.query import in_range
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +102,8 @@ class TestSubsetDeletion:
         ident = watermarked.identifying_columns[0]
         replay = watermarked.table.copy()
         replayed = sum(
-            replay.delete_where(in_range(ident, low, high)) for low, high in result.details["ranges"]
+            replay.delete_where(lambda row: low < row[ident] < high)
+            for low, high in result.details["ranges"]
         )
         assert replayed == result.rows_touched == result.details["deleted"]
         assert replay == result.attacked.table

@@ -25,7 +25,7 @@ class TestAdditiveMarkAttack:
     def test_dispute_resolves_for_owner(self, protection_framework, protected_small):
         attack = AdditiveMarkAttack(seed=2, eta=25, copies=4)
         result = attack.run(protected_small.watermarked, 20)
-        owner_claim = protection_framework.owner_claim("hospital")
+        owner_claim = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         verdict = protection_framework.resolve_dispute(
             result.attack.attacked, [owner_claim, result.attacker_claim]
         )
@@ -51,7 +51,7 @@ class TestSubtractiveMarkAttack:
     ):
         attack = SubtractiveMarkAttack(seed=4, eta=25, copies=4)
         result = attack.run(protected_small.watermarked, 20)
-        owner_claim = protection_framework.owner_claim("hospital")
+        owner_claim = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         verdict = protection_framework.resolve_dispute(
             protected_small.watermarked, [owner_claim, result.attacker_claim]
         )

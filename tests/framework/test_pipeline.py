@@ -57,23 +57,35 @@ class TestProtect:
         with pytest.raises(ValueError):
             framework.protect(table)
 
-    def test_owner_claim_requires_protect_first(self, trees, depth1_metrics):
-        framework = ProtectionFramework(
-            trees,
-            depth1_metrics,
-            KAnonymitySpec(k=2, mode=EnforcementMode.MONO),
-            encryption_key="k",
-            watermark_secret="w",
-        )
-        with pytest.raises(RuntimeError):
-            framework.owner_claim()
-
     def test_owner_claim_fields(self, protection_framework, protected_small):
-        claim = protection_framework.owner_claim("hospital")
+        claim = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         assert claim.claimant == "hospital"
         assert claim.mark == protected_small.mark
         assert claim.registered_statistic == pytest.approx(protected_small.registered_statistic)
         assert claim.watermark_key == protection_framework.watermark_key
+
+    def test_owner_claim_depends_only_on_the_statistic(
+        self, protection_framework, protected_small, trees, depth1_metrics, small_table
+    ):
+        # The framework keeps no registration: protecting another table does
+        # not change the first table's claim, and a framework that never
+        # protected anything builds the same claim from the statistic alone.
+        claim = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
+        other = protection_framework.protect(small_table)
+        assert other.registered_statistic != protected_small.registered_statistic
+        assert protection_framework.owner_claim(other.registered_statistic).mark == other.mark
+        assert protection_framework.owner_claim(protected_small.registered_statistic, "hospital") == claim
+        fresh = ProtectionFramework(
+            trees,
+            depth1_metrics,
+            KAnonymitySpec(k=10, mode=EnforcementMode.MONO, epsilon=5),
+            encryption_key="test-encryption-key",
+            watermark_secret="test-watermark-secret",
+            eta=25,
+            mark_length=20,
+            copies=4,
+        )
+        assert fresh.owner_claim(protected_small.registered_statistic, "hospital") == claim
 
     def test_configuration_accessors(self, protection_framework):
         assert protection_framework.mark_length == 20

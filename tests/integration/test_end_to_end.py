@@ -58,7 +58,7 @@ class TestPrivacyGuarantees:
         outsourced = protected.outsourced_table.column_values("ssn")
         assert set(raw).isdisjoint(outsourced)
         # Traceability (Section 4.2.3): the owner can map tokens back.
-        claim = framework.owner_claim()
+        claim = framework.owner_claim(protected.registered_statistic)
         from repro.crypto.cipher import FieldEncryptor
 
         encryptor = FieldEncryptor(claim.encryption_key)
@@ -99,9 +99,8 @@ class TestOwnershipUnderAttack:
         stolen = SubsetAlterationAttack(0.15, seed=6).run(protected.watermarked).attacked
         attack = AdditiveMarkAttack(seed=7, eta=40, copies=4)
         result = attack.run(stolen, 20)
-        verdict = framework.resolve_dispute(
-            result.attack.attacked, [framework.owner_claim("hospital"), result.attacker_claim]
-        )
+        owner = framework.owner_claim(protected.registered_statistic, "hospital")
+        verdict = framework.resolve_dispute(result.attack.attacked, [owner, result.attacker_claim])
         assert verdict.winner == "hospital"
 
 

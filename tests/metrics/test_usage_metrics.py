@@ -122,6 +122,22 @@ class TestUsageMetrics:
         assert role_tree.is_valid_cut(frontier)
         assert column_information_loss(role_tree, frontier, counts) <= 0.4 + 1e-9
 
+    def test_bound_frontier_follows_each_call_s_counts(self, age8_tree):
+        # A bound-style object reused across tables must derive each table's
+        # frontier from that table's counts, not return the first one.
+        leaves = age8_tree.leaves()
+        skewed = {leaf: 100 if index < 2 else 1 for index, leaf in enumerate(leaves)}
+        uniform = {leaf: 10 for leaf in leaves}
+        bounds = InformationLossBounds({"age": 0.2})
+        reused = UsageMetrics.from_bounds(bounds)
+        for counts in (skewed, uniform):
+            frontier = reused.maximal_nodes("age", age8_tree, counts)
+            assert frontier == UsageMetrics.from_bounds(bounds).maximal_nodes("age", age8_tree, counts)
+            assert column_information_loss(age8_tree, frontier, counts) <= 0.2 + 1e-9
+        assert reused.maximal_nodes("age", age8_tree, skewed) != reused.maximal_nodes(
+            "age", age8_tree, uniform
+        )
+
     def test_bounds_require_counts(self, role_tree):
         metrics = UsageMetrics.from_bounds(InformationLossBounds({"role": 0.4}))
         with pytest.raises(ValueError):
@@ -153,7 +169,7 @@ class TestUsageMetrics:
         )
         assert not metrics.allows_cut("role", role_tree, [role_tree.root])
 
-    def test_caching_returns_copies(self, role_tree):
+    def test_returned_frontier_is_a_copy(self, role_tree):
         metrics = UsageMetrics.from_maximal_nodes({"role": [role_tree.root]})
         first = metrics.maximal_nodes("role", role_tree)
         first.append(role_tree.node("Doctor"))

@@ -141,8 +141,7 @@ class TestDispute:
         if "mallory" not in service.vault:
             service.register_tenant("mallory", k=10, eta=20, epsilon=5)
         mallory = service.framework_for("mallory")
-        mallory.restore_registration(123456789.0)
-        service.register_claim("claims", mallory.owner_claim("mallory"))
+        service.register_claim("claims", mallory.owner_claim(123456789.0, "mallory"))
 
         verdict = ProtectionService(vault_dir).dispute("owner", protected.output, dataset_id="claims")
         by_claimant = {assessment.claimant: assessment for assessment in verdict.assessments}

@@ -186,8 +186,10 @@ class TestRunnerIdentityMatrix:
             for report in detects:
                 assert report.pop("runner") == ("process" if name is None else name)
                 assert report.pop("shards") == workers
+            with open(out, "rb") as handle:
+                protect_sha256 = hashlib.sha256(handle.read()).hexdigest()
             observed[label] = {
-                "protect_sha256": hashlib.sha256(open(out, "rb").read()).hexdigest(),
+                "protect_sha256": protect_sha256,
                 "detect": detects,
                 "dispute": [
                     service.dispute("owner", path, dataset_id="d") for path in (out, attacked)

@@ -295,7 +295,8 @@ class TestRemoteCoordinator:
         server, url = serve_worker_in_thread(ProtectionApp(env.service(executor=executor)))
         try:
             token = KeyVault(env.vault).issue_token("owner")
-            payload = ServiceClient(url, token).dispute("owner", "d", env.attacked)
+            with ServiceClient(url, token) as client:
+                payload = client.dispute("owner", "d", env.attacked)
         finally:
             server.close()
         reference = env.reference(env.attacked)

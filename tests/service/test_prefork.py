@@ -99,9 +99,11 @@ def served(tmp_path_factory):
 @pytest.fixture(scope="module")
 def owner(served):
     _, url, _, _ = served
-    payload = ServiceClient(url).register_tenant("owner", k=10, eta=20, epsilon=5)
+    with ServiceClient(url) as admin:
+        payload = admin.register_tenant("owner", k=10, eta=20, epsilon=5)
     assert payload["tenant"] == "owner" and payload["token"]
-    return ServiceClient(url, payload["token"]), payload["token"]
+    with ServiceClient(url, payload["token"]) as client:
+        yield client, payload["token"]
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +416,8 @@ class TestPreForkProcesses:
         finally:
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=20)
+            proc.stdout.close()
+            proc.stderr.close()
         assert code == 0
 
     def test_sigterm_mid_upload_finishes_request(self, tmp_path, raw_csv):
@@ -423,49 +427,50 @@ class TestPreForkProcesses:
         proc, info = self._serve(vault_dir, "--processes", "1")
         try:
             url = info["url"]
-            token = ServiceClient(url).register_tenant(
-                "owner", k=10, eta=20, epsilon=5
-            )["token"]
-            client = ServiceClient(url, token)
-            started = threading.Event()
-            result: dict = {}
+            with ServiceClient(url) as admin:
+                token = admin.register_tenant("owner", k=10, eta=20, epsilon=5)["token"]
+            with ServiceClient(url, token) as client:
+                started = threading.Event()
+                result: dict = {}
 
-            def slow_upload():
-                def body():
-                    with open(raw_csv, "rb") as handle:
-                        first = True
-                        while True:
-                            block = handle.read(4096)
-                            if not block:
-                                return
-                            yield block
-                            if first:
-                                started.set()
-                                first = False
-                            time.sleep(0.05)
+                def slow_upload():
+                    def body():
+                        with open(raw_csv, "rb") as handle:
+                            first = True
+                            while True:
+                                block = handle.read(4096)
+                                if not block:
+                                    return
+                                yield block
+                                if first:
+                                    started.set()
+                                    first = False
+                                time.sleep(0.05)
 
-                out = str(tmp_path / "protected.csv")
-                try:
-                    status, _, response = client._request(
-                        "POST", "/tenants/owner/datasets/d/protect", body=body
-                    )
-                    raw = response.read()
-                    response.close()
-                    result["status"] = status
-                    result["bytes"] = len(raw)
-                except Exception as error:  # noqa: BLE001 - report into the main thread
-                    result["error"] = error
+                    out = str(tmp_path / "protected.csv")
+                    try:
+                        status, _, response = client._request(
+                            "POST", "/tenants/owner/datasets/d/protect", body=body
+                        )
+                        raw = response.read()
+                        response.close()
+                        result["status"] = status
+                        result["bytes"] = len(raw)
+                    except Exception as error:  # noqa: BLE001 - report into the main thread
+                        result["error"] = error
 
-            uploader = threading.Thread(target=slow_upload)
-            uploader.start()
-            assert started.wait(timeout=10)
-            proc.send_signal(signal.SIGTERM)  # lands mid-upload
-            uploader.join(timeout=60)
+                uploader = threading.Thread(target=slow_upload)
+                uploader.start()
+                assert started.wait(timeout=10)
+                proc.send_signal(signal.SIGTERM)  # lands mid-upload
+                uploader.join(timeout=60)
             code = proc.wait(timeout=30)
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
         assert result.get("error") is None, f"upload failed: {result.get('error')!r}"
         assert result["status"] == 200 and result["bytes"] > 0
         assert code == 0

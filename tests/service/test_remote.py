@@ -214,8 +214,8 @@ class TestFailover:
             "header": "ssn,age,zip_code,doctor,symptom,prescription",
             "lines": [],
         }
-        with pytest.raises(HTTPServiceError) as excinfo:
-            ServiceClient(fleet["urls"][0]).detect_votes(payload)
+        with ServiceClient(fleet["urls"][0]) as client, pytest.raises(HTTPServiceError) as excinfo:
+            client.detect_votes(payload)
         assert excinfo.value.status == 400
         assert "malformed watermarker spec" in excinfo.value.message
         assert "level_weighting" in excinfo.value.message
@@ -373,8 +373,8 @@ class TestFleetBadRecord:
         server, url = serve_worker_in_thread(ProtectionApp(coordinator))
         try:
             token = KeyVault(fleet["vault"]).issue_token("owner")
-            with pytest.raises(HTTPServiceError) as excinfo:
-                ServiceClient(url, token).detect("owner", "big", bad_cell_csv)
+            with ServiceClient(url, token) as client, pytest.raises(HTTPServiceError) as excinfo:
+                client.detect("owner", "big", bad_cell_csv)
         finally:
             server.close()
         assert excinfo.value.status == 400
@@ -434,7 +434,10 @@ class TestWorkerMetrics:
             workers=2,
             runner=remote_runner(fleet["urls"]),
         )
-        snapshots = [ServiceClient(url).metrics() for url in fleet["urls"]]
+        snapshots = []
+        for url in fleet["urls"]:
+            with ServiceClient(url) as client:
+                snapshots.append(client.metrics())
         total_rows = sum(snapshot["worker_chunks"]["rows"] for snapshot in snapshots)
         total_chunks = sum(snapshot["worker_chunks"]["chunks"] for snapshot in snapshots)
         # Chunks round-robin across the fleet, so 20k rows land in total and
@@ -457,10 +460,10 @@ class TestWorkerMetrics:
         server, url = serve_worker_in_thread(app)
         try:
             token = KeyVault(fleet["vault"]).issue_token("owner")
-            client = ServiceClient(url, token)
-            payload = client.detect("owner", "big", fleet["protected"])
+            with ServiceClient(url, token) as client:
+                payload = client.detect("owner", "big", fleet["protected"])
+                snapshot = client.metrics()
             assert payload["runner"] == "remote" and payload["mark_loss"] == 0.0
-            snapshot = client.metrics()
             runners = snapshot["detect"]["runners"]
             assert runners["remote"]["calls"] == 1
             assert runners["remote"]["rows"] == 20_000

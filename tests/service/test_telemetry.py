@@ -244,11 +244,11 @@ class TestHTTPTraceSurface:
 
     def test_detect_returns_trace_in_header_only(self, env, served):
         url, _, token = served
-        client = ServiceClient(url, token)
-        plain = client.detect("owner", "data", env["protected"])
         tracer = Tracer()
-        with activate(tracer):
-            traced = client.detect("owner", "data", env["protected"])
+        with ServiceClient(url, token) as client:
+            plain = client.detect("owner", "data", env["protected"])
+            with activate(tracer):
+                traced = client.detect("owner", "data", env["protected"])
         # The response *body* is identical — the trace rode the header and
         # was ingested into the client's ambient tracer.
         assert plain == traced
@@ -259,10 +259,9 @@ class TestHTTPTraceSurface:
 
     def test_protect_round_trip_with_trace(self, env, served, tmp_path):
         url, _, token = served
-        client = ServiceClient(url, token)
         out = str(tmp_path / "out.csv")
         tracer = Tracer()
-        with activate(tracer):
+        with ServiceClient(url, token) as client, activate(tracer):
             report = client.protect("owner", "traced-proto", env["raw"], out)
         assert report["rows"] == 4_000
         names = {span.name for span in tracer.spans}
@@ -292,6 +291,7 @@ class TestHTTPTraceSurface:
         url, _, _ = served
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{url}/metrics?format=xml", timeout=10)
+        excinfo.value.close()  # the error carries the open 400 response
         assert excinfo.value.code == 400
 
     def test_unknown_route_counted(self, served):
@@ -299,6 +299,7 @@ class TestHTTPTraceSurface:
         before = app.metrics.snapshot()["requests"].get("unknown", 0)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(f"{url}/no/such/route", timeout=10)
+        excinfo.value.close()  # the error carries the open 404 response
         assert excinfo.value.code == 404
         snapshot = app.metrics.snapshot()
         assert snapshot["requests"]["unknown"] == before + 1

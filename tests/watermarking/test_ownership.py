@@ -97,7 +97,7 @@ class TestRegistryConfiguration:
 
 class TestDisputeResolution:
     def test_owner_claim_is_valid_on_own_table(self, protection_framework, protected_small):
-        claim = protection_framework.owner_claim("hospital")
+        claim = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         verdict = protection_framework.resolve_dispute(protected_small.watermarked, [claim])
         assert isinstance(verdict, DisputeVerdict)
         assert verdict.valid_claimants == ["hospital"]
@@ -110,7 +110,7 @@ class TestDisputeResolution:
         )
 
     def test_owner_claim_carries_the_mark_code(self, protection_framework, protected_small):
-        claim = protection_framework.owner_claim()
+        claim = protection_framework.owner_claim(protected_small.registered_statistic)
         assert claim.code == "repetition"
 
     def test_interleaved_protection_wins_its_dispute(self, trees, depth1_metrics, medium_table):
@@ -132,14 +132,14 @@ class TestDisputeResolution:
             code="interleaved",
         )
         protected = framework.protect(medium_table)
-        claim = framework.owner_claim()
+        claim = framework.owner_claim(protected.registered_statistic)
         assert claim.code == "interleaved"
         verdict = framework.resolve_dispute(protected.watermarked, [claim])
         assert verdict.winner == "owner"
         assert verdict.assessments[0].mark_bit_errors == 0
 
     def test_claim_with_wrong_encryption_key_fails(self, protection_framework, protected_small):
-        owner = protection_framework.owner_claim("hospital")
+        owner = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         impostor = OwnershipClaim(
             claimant="impostor",
             registered_statistic=owner.registered_statistic,
@@ -154,7 +154,7 @@ class TestDisputeResolution:
         assert not (assessment.decryption_ok and assessment.statistic_ok)
 
     def test_claim_with_wrong_watermark_key_fails(self, protection_framework, protected_small):
-        owner = protection_framework.owner_claim("hospital")
+        owner = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         impostor = OwnershipClaim(
             claimant="impostor",
             registered_statistic=owner.registered_statistic,
@@ -167,7 +167,7 @@ class TestDisputeResolution:
         assert "impostor" not in verdict.valid_claimants
 
     def test_claim_with_fabricated_statistic_fails(self, protection_framework, protected_small):
-        owner = protection_framework.owner_claim("hospital")
+        owner = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         fabricated = OwnershipClaim(
             claimant="fabricator",
             registered_statistic=owner.registered_statistic + 1e9,
@@ -180,7 +180,7 @@ class TestDisputeResolution:
         assert "fabricator" not in verdict.valid_claimants
 
     def test_winner_none_when_two_claims_valid(self, protection_framework, protected_small):
-        owner = protection_framework.owner_claim("hospital")
+        owner = protection_framework.owner_claim(protected_small.registered_statistic, "hospital")
         duplicate = OwnershipClaim(
             claimant="hospital-twin",
             registered_statistic=owner.registered_statistic,
