@@ -44,7 +44,10 @@ def test_generate_table(benchmark):
 def test_binning_agent(benchmark, component_setup):
     table, trees, metrics, spec, agent, *_ = component_setup
     result = benchmark(agent.bin, table)
-    assert result.satisfied
+    for column in result.binned.quasi_columns:
+        sizes = result.binned.bin_sizes(column)
+        assert sum(sizes.values()) == ROWS
+        assert all(size >= spec.effective_k for size in sizes.values()), column
 
 
 def test_watermark_embedding(benchmark, component_setup):

@@ -6,8 +6,8 @@ individuals.  Its pieces:
 
 * :mod:`repro.binning.generalization` — valid generalizations (cuts of a DHT)
   and their application to values, rows and tables,
-* :mod:`repro.binning.kanonymity` — the k-anonymity specification, bin-size
-  computation and checks,
+* :mod:`repro.binning.kanonymity` — the k-anonymity specification and the
+  row counts (per leaf, per leaf combination) every check reads,
 * :mod:`repro.binning.mono` — mono-attribute downward binning (Figure 5),
 * :mod:`repro.binning.multi` — multi-attribute binning (Figure 7),
 * :mod:`repro.binning.binner` — the complete binning agent (Figure 8):
@@ -28,8 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "MultiColumnGeneralization": ".generalization",
         "KAnonymitySpec": ".kanonymity",
         "ColumnIndex": ".kanonymity",
-        "bin_sizes": ".kanonymity",
-        "joint_bin_sizes": ".kanonymity",
         "is_k_anonymous": ".kanonymity",
         "gen_min_nodes": ".mono",
         "allowable_generalizations": ".multi",

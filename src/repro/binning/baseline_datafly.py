@@ -16,7 +16,7 @@ stop at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.binning.errors import NotBinnableError
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
@@ -31,13 +31,12 @@ __all__ = ["DataflyOutcome", "DataflyBinner"]
 
 @dataclass(frozen=True)
 class DataflyOutcome:
-    """Result of the upward baseline."""
+    """Result of the upward baseline; *generalization* is k-anonymous."""
 
     generalization: MultiColumnGeneralization
     information_losses: dict[str, float]
     normalized_information_loss: float
     steps: int
-    satisfied: bool
 
 
 class DataflyBinner:
@@ -59,51 +58,42 @@ class DataflyBinner:
         only happen when the table itself has fewer than ``k`` rows.
         """
         columns = self._k_spec.resolve_columns(table)
-        missing = [column for column in columns if column not in self._trees]
-        if missing:
-            raise KeyError(f"no domain hierarchy tree for columns {missing}")
-        trees = {column: self._trees[column] for column in columns}
-        index = ColumnIndex(table, trees, columns)
+        counts = ColumnIndex.from_table(table, self._trees, columns)
         k = self._k_spec.effective_k
 
-        depths = {column: trees[column].height for column in columns}
+        depths = {column: self._trees[column].height for column in columns}
         current = MultiColumnGeneralization(
             {column: self._cut_at_depth(column, depths[column]) for column in columns}
         )
         steps = 0
-        while not self._satisfied(index, current, k):
+        while not self._satisfied(counts, current, k):
             # Datafly heuristic: generalise the column with the most distinct
             # (generalized) values one level up.
             candidates = [column for column in columns if depths[column] > 0]
             if not candidates:
-                if len(table) < k:
-                    raise NotBinnableError(
-                        f"table has only {len(table)} rows, cannot satisfy k={k}", k=k
-                    )
-                break
+                raise NotBinnableError(f"table has only {len(table)} rows, cannot satisfy k={k}", k=k)
             distinct = {
-                column: len(index.mono_bin_sizes(column, current[column])) for column in candidates
+                column: len(counts.mono_bin_sizes(column, current[column])) for column in candidates
             }
             chosen = max(candidates, key=lambda column: (distinct[column], column))
             depths[chosen] -= 1
             current = current.with_replaced(chosen, self._cut_at_depth(chosen, depths[chosen]))
             steps += 1
 
-        losses = current.information_losses(index.counts_by_column())
+        losses = current.information_losses(counts.counts_by_column())
         return DataflyOutcome(
             generalization=current,
             information_losses=losses,
             normalized_information_loss=table_information_loss(losses),
             steps=steps,
-            satisfied=self._satisfied(index, current, k),
         )
 
-    def _satisfied(self, index: ColumnIndex, generalization: MultiColumnGeneralization, k: int) -> bool:
+    def _satisfied(self, counts: ColumnIndex, generalization: MultiColumnGeneralization, k: int) -> bool:
         if self._k_spec.mode is EnforcementMode.MONO:
             return all(
-                index.satisfies_mono(column, generalization[column], k) for column in generalization
+                counts.satisfies_mono(column, generalization[column], k) for column in generalization
             )
-        return index.satisfies_joint(generalization, k)
+        return counts.satisfies_joint(generalization, k)
 
     def apply(self, table: Table, generalization: MultiColumnGeneralization) -> Table:
         """Rewrite *table*'s quasi-identifiers under *generalization* (no encryption)."""

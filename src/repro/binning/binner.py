@@ -8,18 +8,23 @@
 2. the quasi-identifying columns are replaced by the value of their ultimate
    generalization node.
 
-The :class:`BinningAgent` wires together the usage metrics (maximal
-generalization nodes), mono-attribute binning (minimal generalization nodes),
-multi-attribute binning (ultimate generalization nodes) and the final table
-rewriting, and returns a :class:`BinningResult` carrying the
-:class:`BinnedTable` plus the information-loss bookkeeping the experiments
-report.
+Binning has one planner, :meth:`BinningAgent.plan_from_counts`.  From row
+counts alone (a :class:`~repro.binning.kanonymity.ColumnIndex`) it derives
+the maximal generalization nodes (usage metrics), the minimal ones
+(mono-attribute binning) and the ultimate ones (the minimal ones under MONO
+enforcement, multi-attribute binning under JOINT) into a :class:`BinPlan`.
+:func:`rewrite_table` then applies the plan to the rows.  Both callers run
+exactly these two steps: :meth:`BinningAgent.bin` counts a whole table in
+memory and returns a :class:`BinningResult` (the :class:`BinnedTable` plus
+the information-loss bookkeeping the experiments report); the service's
+streamed protect counts leaves in its first pass and rewrites chunk by chunk
+in its second.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Mapping
 
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
 from repro.binning.kanonymity import ColumnIndex, EnforcementMode, KAnonymitySpec
@@ -187,16 +192,7 @@ class BinnedTable:
         Mutations must go through :meth:`repro.relational.table.Table.mutable_row`
         or :meth:`~repro.relational.table.Table.set_cells`.
         """
-        return BinnedTable(
-            table=self.table.lazy_copy(),
-            trees=self.trees,
-            identifying_columns=self.identifying_columns,
-            quasi_columns=self.quasi_columns,
-            ultimate_nodes=dict(self.ultimate_nodes),
-            maximal_nodes=dict(self.maximal_nodes),
-            minimal_nodes=dict(self.minimal_nodes),
-            k=self.k,
-        )
+        return replace(self, table=self.table.lazy_copy())
 
     def slice(self, start: int, stop: int) -> "BinnedTable":
         """A shard over rows ``[start, stop)`` sharing the frontier metadata.
@@ -207,47 +203,31 @@ class BinnedTable:
         construction, so a detect over the shard reads exactly the votes the
         serial detect reads for those rows.
         """
-        return BinnedTable(
-            table=self.table.slice_view(start, stop),
-            trees=self.trees,
-            identifying_columns=self.identifying_columns,
-            quasi_columns=self.quasi_columns,
-            ultimate_nodes=dict(self.ultimate_nodes),
-            maximal_nodes=dict(self.maximal_nodes),
-            minimal_nodes=dict(self.minimal_nodes),
-            k=self.k,
-        )
+        return replace(self, table=self.table.slice_view(start, stop))
 
     def copy(self) -> "BinnedTable":
-        """Deep copy (attacks mutate the table; the metadata is shared)."""
-        return BinnedTable(
-            table=self.table.copy(),
-            trees=self.trees,
-            identifying_columns=self.identifying_columns,
-            quasi_columns=self.quasi_columns,
-            ultimate_nodes=dict(self.ultimate_nodes),
-            maximal_nodes=dict(self.maximal_nodes),
-            minimal_nodes=dict(self.minimal_nodes),
-            k=self.k,
-        )
+        """Deep copy of the table (attacks mutate it); the metadata is shared, never mutated."""
+        return replace(self, table=self.table.copy())
 
 
 @dataclass(frozen=True)
 class BinPlan:
-    """The generalizations binning will apply, derived from per-leaf counts.
+    """The generalizations binning will apply, derived from row counts alone.
 
     A plan separates the *global* half of binning (frontier derivation, which
-    needs only per-column leaf counts) from the *per-row* half (encrypt +
-    generalise, which is embarrassingly streamable).  The service's streaming
-    ingest computes the counts in a first constant-memory pass, builds one
-    plan, then rewrites and embeds chunk by chunk in a second pass.
+    needs only the counts of a :class:`~repro.binning.kanonymity.ColumnIndex`)
+    from the *per-row* half (encrypt + generalise, which is embarrassingly
+    streamable).  :meth:`BinningAgent.bin` counts a whole table; the
+    service's streaming ingest counts leaves in a first constant-memory pass.
+    Either way one plan is built, then the rows are rewritten.
     """
 
     columns: tuple[str, ...]
     ultimate: MultiColumnGeneralization
     maximal: dict[str, tuple[str, ...]]
-    minimal: dict[str, tuple[str, ...]]
+    minimal: MultiColumnGeneralization
     k: int
+    used_fallback: bool
 
     def metadata_for(self, trees: Mapping[str, DomainHierarchyTree]) -> dict[str, object]:
         """The :class:`BinnedTable` metadata fields this plan determines."""
@@ -256,7 +236,7 @@ class BinPlan:
             "quasi_columns": self.columns,
             "ultimate_nodes": {column: self.ultimate[column].node_names for column in self.columns},
             "maximal_nodes": dict(self.maximal),
-            "minimal_nodes": dict(self.minimal),
+            "minimal_nodes": {column: self.minimal[column].node_names for column in self.columns},
             "k": self.k,
         }
 
@@ -270,9 +250,7 @@ class BinningResult:
     normalized_information_loss: float
     mono_information_losses: dict[str, float]
     mono_normalized_information_loss: float
-    satisfied: bool
     used_fallback: bool
-    candidates_examined: int
 
 
 class BinningAgent:
@@ -303,120 +281,68 @@ class BinningAgent:
 
     # -------------------------------------------------------------------- API
     def bin(self, table: Table) -> BinningResult:
-        """Bin *table* per the k-anonymity specification and usage metrics."""
-        columns = self._k_spec.resolve_columns(table)
-        missing = [column for column in columns if column not in self._trees]
-        if missing:
-            raise KeyError(f"no domain hierarchy tree for columns {missing}")
-        trees = {column: self._trees[column] for column in columns}
-        index = ColumnIndex(table, trees, columns)
-        k = self._k_spec.effective_k
+        """Bin *table* per the k-anonymity specification and usage metrics.
 
-        maximal = {
-            column: self._usage_metrics.maximal_nodes(column, trees[column], index.leaf_counts(column))
-            for column in columns
-        }
-        minimal = {
-            column: gen_min_nodes(trees[column], maximal[column], index.leaf_counts(column), k)
-            for column in columns
-        }
-        mono_generalization = MultiColumnGeneralization(
-            {column: Generalization(trees[column], minimal[column]) for column in columns}
-        )
-
-        if self._k_spec.mode is EnforcementMode.MONO:
-            ultimate = mono_generalization
-            satisfied = True
-            used_fallback = False
-            candidates = 0
-        else:
-            outcome = gen_ultimate_nodes(
-                index,
-                trees,
-                minimal,
-                maximal,
-                k,
-                enumeration_budget=self._enumeration_budget,
-            )
-            ultimate = outcome.generalization
-            satisfied = outcome.satisfied
-            used_fallback = outcome.used_fallback
-            candidates = outcome.candidates_examined
-
-        counts_by_column = index.counts_by_column()
-        losses = ultimate.information_losses(counts_by_column)
-        mono_losses = mono_generalization.information_losses(counts_by_column)
-
-        binned_table = self._rewrite(table, ultimate)
+        Counts the table, plans from the counts (:meth:`plan_from_counts`)
+        and rewrites every row (:func:`rewrite_table`).
+        """
+        counts = ColumnIndex.from_table(table, self._trees, self._k_spec.resolve_columns(table))
+        plan = self.plan_from_counts(counts)
         binned = BinnedTable(
-            table=binned_table,
-            trees=trees,
+            table=rewrite_table(table, table.schema, self._encryptor, plan.ultimate),
             identifying_columns=tuple(column.name for column in table.schema.identifying_columns),
-            quasi_columns=tuple(columns),
-            ultimate_nodes={column: ultimate[column].node_names for column in columns},
-            maximal_nodes={column: tuple(node.name for node in maximal[column]) for column in columns},
-            minimal_nodes={column: tuple(node.name for node in minimal[column]) for column in columns},
-            k=self._k_spec.k,
+            **plan.metadata_for(self._trees),
         )
+        counts_by_column = counts.counts_by_column()
+        losses = plan.ultimate.information_losses(counts_by_column)
+        mono_losses = plan.minimal.information_losses(counts_by_column)
         return BinningResult(
             binned=binned,
             information_losses=losses,
             normalized_information_loss=table_information_loss(losses),
             mono_information_losses=mono_losses,
             mono_normalized_information_loss=table_information_loss(mono_losses),
-            satisfied=satisfied,
-            used_fallback=used_fallback,
-            candidates_examined=candidates,
+            used_fallback=plan.used_fallback,
         )
 
-    # -------------------------------------------------------- streaming halves
-    def plan_from_counts(
-        self,
-        leaf_counts: Mapping[str, Mapping[DHTNode, int]],
-        columns: Sequence[str] | None = None,
-    ) -> BinPlan:
-        """Derive the binning plan from per-column leaf counts alone.
+    def plan_from_counts(self, counts: ColumnIndex) -> BinPlan:
+        """Derive the binning plan of *counts*' columns from their row counts.
 
-        This is the global half of :meth:`bin` for mono-attribute enforcement:
-        the maximal frontier comes from the usage metrics, the minimal (and,
-        in MONO mode, ultimate) frontier from ``GenMinNd`` — both consume only
-        the per-leaf row counts, which a streaming ingest can accumulate
-        without holding the table.  Joint enforcement needs the full row-level
-        :class:`~repro.binning.kanonymity.ColumnIndex` and is rejected here.
+        The maximal frontier comes from the usage metrics and the minimal one
+        from ``GenMinNd`` (Figure 5), both from the per-leaf counts.  Under
+        MONO enforcement the minimal frontier is the ultimate one; under
+        JOINT, ``GenUltiNd`` (Figure 7) picks it from the leaf-combination
+        counts, which *counts* must then carry.
         """
-        if self._k_spec.mode is not EnforcementMode.MONO:
-            raise ValueError("plan_from_counts supports mono-attribute enforcement only")
-        resolved = tuple(columns) if columns is not None else tuple(leaf_counts)
-        missing = [column for column in resolved if column not in self._trees]
-        if missing:
-            raise KeyError(f"no domain hierarchy tree for columns {missing}")
+        joint = self._k_spec.mode is EnforcementMode.JOINT
+        if joint and counts.combinations is None:
+            raise ValueError("joint enforcement needs the leaf-combination counts of the table")
+        columns = tuple(counts.columns)
         k = self._k_spec.effective_k
         maximal: dict[str, list[DHTNode]] = {}
         minimal: dict[str, list[DHTNode]] = {}
-        for column in resolved:
-            tree = self._trees[column]
-            counts = dict(leaf_counts[column])
-            maximal[column] = self._usage_metrics.maximal_nodes(column, tree, counts)
-            minimal[column] = gen_min_nodes(tree, maximal[column], counts, k)
-        ultimate = MultiColumnGeneralization(
-            {column: Generalization(self._trees[column], minimal[column]) for column in resolved}
+        for column in columns:
+            tree = counts.tree(column)
+            leaf_counts = counts.leaf_counts(column)
+            maximal[column] = self._usage_metrics.maximal_nodes(column, tree, leaf_counts)
+            minimal[column] = gen_min_nodes(tree, maximal[column], leaf_counts, k)
+        mono = MultiColumnGeneralization(
+            {column: Generalization(counts.tree(column), minimal[column]) for column in columns}
         )
+        ultimate, used_fallback = mono, False
+        if joint:
+            outcome = gen_ultimate_nodes(
+                counts, minimal, maximal, k, enumeration_budget=self._enumeration_budget
+            )
+            ultimate, used_fallback = outcome.generalization, outcome.used_fallback
         return BinPlan(
-            columns=resolved,
+            columns=columns,
             ultimate=ultimate,
-            maximal={column: tuple(node.name for node in maximal[column]) for column in resolved},
-            minimal={column: tuple(node.name for node in minimal[column]) for column in resolved},
+            maximal={column: tuple(node.name for node in maximal[column]) for column in columns},
+            minimal=mono,
             k=self._k_spec.k,
+            used_fallback=used_fallback,
         )
-
-    # --------------------------------------------------------------- internals
-    def _rewrite(self, table: Table, ultimate: MultiColumnGeneralization) -> Table:
-        """``Binning(tbl, ultigen)`` of Figure 8: encrypt + generalise each tuple.
-
-        Delegates to :func:`rewrite_table`: column by column, with batched
-        encryption and memoised generalisation.
-        """
-        return rewrite_table(table, table.schema, self._encryptor, ultimate)
 
     def decrypt_identifier(self, token: str) -> str:
         """Decrypt an identifying-column token (owner-side, for dispute resolution)."""

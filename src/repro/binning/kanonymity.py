@@ -13,15 +13,18 @@ combination; the table satisfies k-anonymity when every bin holds at least
 quasi-identifying columns to bin, the enforcement mode and the ``k + ε``
 safety margin of Section 6 that absorbs watermarking-induced bin changes.
 
-:class:`ColumnIndex` precomputes, once per table, the per-row leaf nodes of
-every quasi-identifying column so that candidate generalizations can be
-checked without repeatedly re-parsing values.
+Binning decides from counts alone.  :class:`ColumnIndex` holds them — rows
+per leaf of every binned column, and rows per combination of leaves across
+the columns — and checks a candidate generalization by summing those counts
+into its bins.  It is filled once per table (:meth:`ColumnIndex.from_table`)
+or from the per-leaf counts a streamed protect merges in its first pass.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
@@ -33,8 +36,6 @@ __all__ = [
     "EnforcementMode",
     "KAnonymitySpec",
     "ColumnIndex",
-    "bin_sizes",
-    "joint_bin_sizes",
     "is_k_anonymous",
 ]
 
@@ -95,58 +96,92 @@ class KAnonymitySpec:
         return KAnonymitySpec(self.k, self.columns, self.mode, epsilon)
 
 
-class ColumnIndex:
-    """Per-column, per-row leaf resolution computed once for a table.
+def _trees_for(
+    trees: Mapping[str, DomainHierarchyTree], columns: Sequence[str]
+) -> dict[str, DomainHierarchyTree]:
+    missing = [column for column in columns if column not in trees]
+    if missing:
+        raise KeyError(f"no domain hierarchy tree for columns {missing}")
+    return {column: trees[column] for column in columns}
 
-    Candidate generalizations are evaluated many times during binning; this
-    index maps every row of every quasi-identifying column to its DHT leaf up
-    front, so a candidate check reduces to dictionary lookups.
+
+class ColumnIndex:
+    """The row counts binning plans from, and the k-anonymity checks over them.
+
+    Binning reads nothing else from the rows (Section 4.2): ``GenMinNd`` needs
+    how many rows fall under each leaf of a column, and ``EnumGen`` /
+    ``GenUltiNd`` need how many rows fall into each combination of leaves over
+    the binned columns.  The index holds those two tallies — one count per
+    leaf per column, and, when joint enforcement needs it, one ``Counter``
+    entry per distinct leaf combination — so checking a candidate
+    generalization costs one lookup per leaf or per combination, never per
+    row.  Combinations are keyed by leaf *names*, like pass 1's per-column
+    counts: strings hash in C, identity-hashed tree nodes in Python.
+
+    Parameters
+    ----------
+    trees:
+        Domain hierarchy tree of every column in *leaf_counts*.
+    leaf_counts:
+        Rows per leaf name, per column (the form pass 1 of a streamed protect
+        merges); the columns' order is the index's column order.
+    combinations:
+        Rows per tuple of leaf names, one per column in column order, or
+        ``None`` when only the per-column counts are known.
     """
 
-    def __init__(self, table: Table, trees: Mapping[str, DomainHierarchyTree], columns: Sequence[str]) -> None:
-        self._columns = list(columns)
-        self._trees = {column: trees[column] for column in columns}
-        self._row_leaves: dict[str, list[DHTNode]] = {}
-        self._leaf_counts: dict[str, dict[DHTNode, int]] = {}
+    def __init__(
+        self,
+        trees: Mapping[str, DomainHierarchyTree],
+        leaf_counts: Mapping[str, Mapping[str, int]],
+        combinations: Counter | None = None,
+    ) -> None:
+        self._columns = list(leaf_counts)
+        self._trees = _trees_for(trees, self._columns)
+        self._leaf_counts = {
+            column: {leaf: leaf_counts[column].get(leaf.name, 0) for leaf in tree.leaves()}
+            for column, tree in self._trees.items()
+        }
+        self._combinations = combinations
+
+    @classmethod
+    def from_table(
+        cls, table: Table, trees: Mapping[str, DomainHierarchyTree], columns: Sequence[str]
+    ) -> "ColumnIndex":
+        """Count *table*'s rows per leaf and per leaf combination of *columns*.
+
+        Each distinct value of a column is resolved to its leaf once, in order
+        of first occurrence (so the first out-of-domain value raises); the
+        rows are then tallied without building any per-row list.
+        """
+        trees = _trees_for(trees, columns)
+        raw = table.column_sequences(columns)
+        leaf_name_of: dict[str, dict[object, str]] = {}
+        leaf_counts: dict[str, Counter] = {}
         for column in columns:
-            tree = self._trees[column]
-            # Leaf resolution is deterministic per value, so a per-distinct
-            # memo turns the column sweep into one tree walk per bin instead
-            # of one per row (column_values is a single buffer copy).
-            leaf_for_raw = tree.leaf_for_raw
-            memo: dict[object, DHTNode] = {}
-            leaves: list[DHTNode] = []
-            append = leaves.append
-            for value in table.column_values(column):
-                try:
-                    leaf = memo.get(value)
-                except TypeError:  # unhashable cell: resolve without caching
-                    append(leaf_for_raw(value))
-                    continue
-                if leaf is None:
-                    leaf = memo[value] = leaf_for_raw(value)
-                append(leaf)
-            self._row_leaves[column] = leaves
-            counts: dict[DHTNode, int] = {leaf: 0 for leaf in tree.leaves()}
-            for leaf in leaves:
-                counts[leaf] += 1
-            self._leaf_counts[column] = counts
-        self._n_rows = len(table)
+            value_counts = Counter(raw[column])
+            names = leaf_name_of[column] = {
+                value: trees[column].leaf_for_raw(value).name for value in value_counts
+            }
+            counts = leaf_counts[column] = Counter()
+            for value, rows in value_counts.items():
+                counts[names[value]] += rows
+        combinations = Counter(
+            zip(*(map(leaf_name_of[column].__getitem__, raw[column]) for column in columns))
+        )
+        return cls(trees, leaf_counts, combinations)
 
     @property
     def columns(self) -> list[str]:
         return list(self._columns)
 
     @property
-    def n_rows(self) -> int:
-        return self._n_rows
+    def combinations(self) -> Counter | None:
+        """Rows per leaf-name tuple (column order), or ``None`` if not counted."""
+        return self._combinations
 
     def tree(self, column: str) -> DomainHierarchyTree:
         return self._trees[column]
-
-    def row_leaves(self, column: str) -> list[DHTNode]:
-        """The leaf node of every row for *column* (in table order)."""
-        return self._row_leaves[column]
 
     def leaf_counts(self, column: str) -> dict[DHTNode, int]:
         """Number of rows under every leaf of *column*'s tree."""
@@ -157,27 +192,43 @@ class ColumnIndex:
 
     # --------------------------------------------------------------- bin sizes
     def mono_bin_sizes(self, column: str, generalization: Generalization) -> dict[DHTNode, int]:
-        """Bin sizes of one column under a candidate generalization."""
+        """Bin sizes of one column under a candidate generalization (no empty bins)."""
         sizes: dict[DHTNode, int] = {}
-        for leaf in self._row_leaves[column]:
-            node = generalization.node_for_leaf(leaf)
-            sizes[node] = sizes.get(node, 0) + 1
+        for leaf, rows in self._leaf_counts[column].items():
+            if rows:
+                node = generalization.node_for_leaf(leaf)
+                sizes[node] = sizes.get(node, 0) + rows
         return sizes
+
+    def _joint_bins(
+        self, generalization: MultiColumnGeneralization
+    ) -> tuple[list[tuple[str, ...]], dict[tuple[str, ...], int]]:
+        """The joint bin of every leaf combination (in counter order), and each bin's size.
+
+        A bin is named by its generalization node in each covered column.
+        """
+        if self._combinations is None:
+            raise ValueError("joint bin sizes need the leaf-combination counts")
+        bin_of_leaf: list[tuple[int, dict[str, str]]] = []
+        for position, column in enumerate(self._columns):
+            if column in generalization:
+                node_for_leaf = generalization[column].node_for_leaf
+                bins = {leaf.name: node_for_leaf(leaf).name for leaf in self._leaf_counts[column]}
+                bin_of_leaf.append((position, bins))
+        if not bin_of_leaf:
+            raise ValueError("generalization covers none of the indexed columns")
+        keys = [
+            tuple(bins[leaves[position]] for position, bins in bin_of_leaf)
+            for leaves in self._combinations
+        ]
+        sizes: dict[tuple[str, ...], int] = {}
+        for key, rows in zip(keys, self._combinations.values()):
+            sizes[key] = sizes.get(key, 0) + rows
+        return keys, sizes
 
     def joint_bin_sizes(self, generalization: MultiColumnGeneralization) -> dict[tuple[str, ...], int]:
         """Bin sizes of the column combination under a candidate generalization."""
-        columns = [column for column in self._columns if column in generalization]
-        if not columns:
-            raise ValueError("generalization covers none of the indexed columns")
-        per_column_nodes: list[list[DHTNode]] = []
-        for column in columns:
-            gen = generalization[column]
-            per_column_nodes.append([gen.node_for_leaf(leaf) for leaf in self._row_leaves[column]])
-        sizes: dict[tuple[str, ...], int] = {}
-        for row_index in range(self._n_rows):
-            key = tuple(per_column_nodes[i][row_index].name for i in range(len(columns)))
-            sizes[key] = sizes.get(key, 0) + 1
-        return sizes
+        return self._joint_bins(generalization)[1]
 
     def satisfies_mono(self, column: str, generalization: Generalization, k: int) -> bool:
         return is_k_anonymous(self.mono_bin_sizes(column, generalization), k)
@@ -185,31 +236,16 @@ class ColumnIndex:
     def satisfies_joint(self, generalization: MultiColumnGeneralization, k: int) -> bool:
         return is_k_anonymous(self.joint_bin_sizes(generalization), k)
 
-    def joint_violations(self, generalization: MultiColumnGeneralization, k: int) -> list[int]:
-        """Indices of rows falling in joint bins smaller than *k*."""
-        columns = [column for column in self._columns if column in generalization]
-        per_column_nodes: list[list[DHTNode]] = []
-        for column in columns:
-            gen = generalization[column]
-            per_column_nodes.append([gen.node_for_leaf(leaf) for leaf in self._row_leaves[column]])
-        keys = [
-            tuple(per_column_nodes[i][row_index].name for i in range(len(columns)))
-            for row_index in range(self._n_rows)
-        ]
-        sizes: dict[tuple[str, ...], int] = {}
-        for key in keys:
-            sizes[key] = sizes.get(key, 0) + 1
-        return [row_index for row_index, key in enumerate(keys) if sizes[key] < k]
-
-
-def bin_sizes(table: Table, columns: Sequence[str]) -> dict[tuple[object, ...], int]:
-    """Bin sizes of *table* grouped by the given (already binned) columns."""
-    return table.group_by_count(list(columns))
-
-
-def joint_bin_sizes(table: Table, columns: Sequence[str]) -> dict[tuple[object, ...], int]:
-    """Alias of :func:`bin_sizes`, named for symmetry with the mono case."""
-    return bin_sizes(table, columns)
+    def violating_combinations(
+        self, generalization: MultiColumnGeneralization, k: int
+    ) -> dict[tuple[str, ...], int]:
+        """Rows per leaf combination whose joint bin holds fewer than *k* rows."""
+        keys, sizes = self._joint_bins(generalization)
+        return {
+            leaves: rows
+            for (leaves, rows), key in zip(self._combinations.items(), keys)
+            if sizes[key] < k
+        }
 
 
 def is_k_anonymous(sizes: Mapping[object, int], k: int) -> bool:

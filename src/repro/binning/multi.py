@@ -7,6 +7,10 @@ nodes (below) and its maximal generalization nodes (above) such that the
 *combination* satisfies k-anonymity, choosing among the valid candidates the
 one with the least specificity loss (Section 4.2.2).
 
+Both searches read only counts: a candidate is k-anonymous when the rows of
+every leaf combination (:attr:`ColumnIndex.combinations`), summed into the
+candidate's joint bins, reach ``k`` in each bin.
+
 The paper enumerates all ``prod_i n_i`` combinations of allowable
 generalizations (``EnumGen``) and filters them.  That is exact but explodes
 for deep trees, so this module implements both:
@@ -15,10 +19,12 @@ for deep trees, so this module implements both:
   fits a configurable budget, and
 * a **greedy coarsening fallback** otherwise: starting from the minimal
   frontier, repeatedly merge — at the node level — the sibling group that
-  covers the most records violating joint k-anonymity, until the combination
-  is k-anonymous or every column has reached its maximal frontier.  The
-  fallback stays within the allowable-generalization lattice of the paper and
-  reports itself through :class:`MultiBinningOutcome.used_fallback`.
+  covers the most records violating joint k-anonymity (the rows of the leaf
+  combinations in undersized bins, summed under each candidate parent), until
+  the combination is k-anonymous or every column has reached its maximal
+  frontier.  The fallback stays within the allowable-generalization lattice
+  of the paper and reports itself through
+  :class:`MultiBinningOutcome.used_fallback`.
 """
 
 from __future__ import annotations
@@ -81,49 +87,33 @@ class MultiBinningOutcome:
     Attributes
     ----------
     generalization:
-        The ultimate generalization (one cut per column).
-    satisfied:
-        Whether the combination satisfies joint k-anonymity.  The greedy
-        fallback can end at the maximal frontier without reaching it, in which
-        case the caller decides whether to fail (the default of the binning
-        agent) or accept the best effort.
+        The ultimate generalization (one cut per column); it satisfies joint
+        k-anonymity.
     used_fallback:
         ``True`` when the greedy search replaced exact enumeration.
-    candidates_examined:
-        Number of candidate combinations whose joint bins were computed.
     """
 
     generalization: MultiColumnGeneralization
-    satisfied: bool
     used_fallback: bool
-    candidates_examined: int
 
 
 def _exact_search(
-    index: ColumnIndex,
+    counts: ColumnIndex,
     per_column_candidates: Mapping[str, list[Generalization]],
     k: int,
-) -> MultiBinningOutcome:
+) -> MultiColumnGeneralization | None:
     """The paper's ``EnumGen`` + ``Selection``: enumerate, filter, pick the best."""
     columns = list(per_column_candidates)
     best: MultiColumnGeneralization | None = None
     best_loss = float("inf")
-    examined = 0
     for combination in product(*(per_column_candidates[column] for column in columns)):
         candidate = MultiColumnGeneralization(dict(zip(columns, combination)))
-        examined += 1
-        if not index.satisfies_joint(candidate, k):
+        if not counts.satisfies_joint(candidate, k):
             continue
         loss = candidate.total_specificity_loss()
         if loss < best_loss:
             best, best_loss = candidate, loss
-    if best is None:
-        # Even the coarsest combination (the maximal frontiers) fails.
-        coarsest = MultiColumnGeneralization(
-            {column: per_column_candidates[column][-1] for column in columns}
-        )
-        return MultiBinningOutcome(coarsest, satisfied=False, used_fallback=False, candidates_examined=examined)
-    return MultiBinningOutcome(best, satisfied=True, used_fallback=False, candidates_examined=examined)
+    return best
 
 
 def _coarsening_candidates(
@@ -166,23 +156,24 @@ def _coarsening_candidates(
 
 
 def _greedy_search(
-    index: ColumnIndex,
-    trees: Mapping[str, DomainHierarchyTree],
+    counts: ColumnIndex,
     minimal_nodes: Mapping[str, Sequence[DHTNode]],
     maximal_nodes: Mapping[str, Sequence[DHTNode]],
     k: int,
-) -> MultiBinningOutcome:
-    """Greedy coarsening from the minimal frontier toward the maximal frontier."""
-    columns = list(trees)
+) -> MultiColumnGeneralization | None:
+    """Greedy coarsening from the minimal frontier toward the maximal frontier.
+
+    Returns ``None`` when no merge within the maximal frontiers pools any
+    violating rows and the combination is still not k-anonymous.
+    """
+    columns = counts.columns
     current = MultiColumnGeneralization(
-        {column: Generalization(trees[column], minimal_nodes[column]) for column in columns}
+        {column: Generalization(counts.tree(column), minimal_nodes[column]) for column in columns}
     )
-    examined = 0
     while True:
-        examined += 1
-        violating_rows = index.joint_violations(current, k)
-        if not violating_rows:
-            return MultiBinningOutcome(current, satisfied=True, used_fallback=True, candidates_examined=examined)
+        violating = counts.violating_combinations(current, k)
+        if not violating:
+            return current
 
         # Score every single-merge coarsening by the number of violating rows
         # it touches; apply the best one.  Touching more violating rows means
@@ -192,20 +183,16 @@ def _greedy_search(
         best_column: str | None = None
         best_parent: DHTNode | None = None
         best_replaced: list[DHTNode] | None = None
-        for column in columns:
-            tree = trees[column]
+        for position, column in enumerate(columns):
+            tree = counts.tree(column)
             cut = current[column].nodes
-            row_leaves = index.row_leaves(column)
-            violating_leaf_counts: dict[DHTNode, int] = {}
-            for row_index in violating_rows:
-                leaf = row_leaves[row_index]
-                violating_leaf_counts[leaf] = violating_leaf_counts.get(leaf, 0) + 1
+            violating_leaf_counts: dict[str, int] = {}
+            for leaves, rows in violating.items():
+                leaf = leaves[position]
+                violating_leaf_counts[leaf] = violating_leaf_counts.get(leaf, 0) + rows
             for parent, replaced in _coarsening_candidates(tree, cut, maximal_nodes[column]):
-                score = sum(
-                    count
-                    for leaf, count in violating_leaf_counts.items()
-                    if parent.is_ancestor_of(leaf, include_self=True)
-                )
+                under = {leaf.name for leaf in parent.leaves()}
+                score = sum(count for leaf, count in violating_leaf_counts.items() if leaf in under)
                 leaf_span = len(parent.leaves())
                 # Prefer merges that pool many violating rows; break ties by
                 # the smaller subtree merged (less specificity loss).
@@ -217,15 +204,14 @@ def _greedy_search(
                     best_replaced = list(replaced)
         if best_column is None or best_parent is None or best_score <= 0:
             # No further coarsening possible within the maximal frontiers.
-            return MultiBinningOutcome(current, satisfied=False, used_fallback=True, candidates_examined=examined)
+            return None
         new_cut = [node for node in current[best_column].nodes if node not in set(best_replaced or [])]
         new_cut.append(best_parent)
-        current = current.with_replaced(best_column, Generalization(trees[best_column], new_cut))
+        current = current.with_replaced(best_column, Generalization(counts.tree(best_column), new_cut))
 
 
 def gen_ultimate_nodes(
-    index: ColumnIndex,
-    trees: Mapping[str, DomainHierarchyTree],
+    counts: ColumnIndex,
     minimal_nodes: Mapping[str, Sequence[DHTNode]],
     maximal_nodes: Mapping[str, Sequence[DHTNode]],
     k: int,
@@ -234,6 +220,7 @@ def gen_ultimate_nodes(
 ) -> MultiBinningOutcome:
     """``GenUltiNd`` of Figure 7: choose the ultimate generalization nodes.
 
+    Works over every column of *counts*, from its leaf-combination counts.
     Runs the exact enumeration whenever the total combination count fits
     within *enumeration_budget* and the greedy coarsening otherwise.
 
@@ -245,32 +232,34 @@ def gen_ultimate_nodes(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    columns = list(trees)
+    columns = counts.columns
     for column in columns:
         if column not in minimal_nodes or column not in maximal_nodes:
             raise KeyError(f"missing frontier for column {column!r}")
+    trees = {column: counts.tree(column) for column in columns}
 
     total = count_allowable_combinations(trees, minimal_nodes, maximal_nodes)
-    if total <= enumeration_budget:
+    used_fallback = total > enumeration_budget
+    if used_fallback:
+        found = _greedy_search(counts, minimal_nodes, maximal_nodes, k)
+    else:
         per_column = {
             column: allowable_generalizations(
                 trees[column], list(minimal_nodes[column]), list(maximal_nodes[column])
             )
             for column in columns
         }
-        # Order candidates from finest to coarsest so the "coarsest" fallback
-        # inside the exact search is well defined.
+        # Finest candidates first: among combinations of equal loss the first
+        # one enumerated wins, so this order fixes the tie-break.
         for column in columns:
             per_column[column].sort(key=lambda gen: -len(gen.nodes))
-        outcome = _exact_search(index, per_column, k)
-    else:
-        outcome = _greedy_search(index, trees, minimal_nodes, maximal_nodes, k)
+        found = _exact_search(counts, per_column, k)
 
-    if not outcome.satisfied:
+    if found is None:
         coarsest = MultiColumnGeneralization(
             {column: Generalization(trees[column], maximal_nodes[column]) for column in columns}
         )
-        if not index.satisfies_joint(coarsest, k):
+        if not counts.satisfies_joint(coarsest, k):
             raise NotBinnableError(
                 f"the combination of columns {columns} cannot satisfy k={k} even at the maximal "
                 "generalization nodes",
@@ -278,10 +267,5 @@ def gen_ultimate_nodes(
             )
         # The frontier itself works even though the search did not find a
         # finer solution (can happen for the greedy fallback); fall back to it.
-        return MultiBinningOutcome(
-            coarsest,
-            satisfied=True,
-            used_fallback=outcome.used_fallback,
-            candidates_examined=outcome.candidates_examined,
-        )
-    return outcome
+        found = coarsest
+    return MultiBinningOutcome(found, used_fallback=used_fallback)

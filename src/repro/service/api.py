@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from repro.binning.binner import BinnedTable
-from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
+from repro.binning.kanonymity import ColumnIndex, EnforcementMode, KAnonymitySpec
 from repro.dht.tree import DomainHierarchyTree
 from repro.framework.pipeline import ProtectionFramework
 from repro.metrics.information_loss import table_information_loss
@@ -325,15 +325,12 @@ class ProtectionService:
             pass1_scope.set(rows=totals.rows)
         rows = totals.rows
         statistic = statistic_from_total(totals.identifier_total, totals.identifier_count)
-        leaf_counts = {
-            column: {leaf: totals.leaf_counts[column][leaf.name] for leaf in tree.leaves()}
-            for column, tree in trees.items()
-        }
+        counts = ColumnIndex(trees, totals.leaf_counts)
 
         mark = framework.registry.mark_for_statistic(statistic)
         agent = framework.binning_agent
-        plan = agent.plan_from_counts(leaf_counts, columns=quasi)
-        losses = plan.ultimate.information_losses(leaf_counts)
+        plan = agent.plan_from_counts(counts)
+        losses = plan.ultimate.information_losses(counts.counts_by_column())
         metadata = plan.metadata_for(self._trees)
         watermarker = framework.watermarker()
 

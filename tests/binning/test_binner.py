@@ -3,7 +3,7 @@
 import pytest
 
 from repro.binning.binner import BinningAgent
-from repro.binning.kanonymity import EnforcementMode, KAnonymitySpec
+from repro.binning.kanonymity import ColumnIndex, EnforcementMode, KAnonymitySpec
 from repro.crypto.cipher import FieldEncryptor
 from repro.dht.node import Interval
 from repro.metrics.usage_metrics import UsageMetrics
@@ -98,9 +98,25 @@ class TestBinningAgentModes:
             trees, metrics, KAnonymitySpec(k=5, mode=EnforcementMode.JOINT), "key", enumeration_budget=64
         )
         result = agent.bin(small_table)
-        assert result.satisfied
         sizes = result.binned.joint_bin_sizes()
+        assert sum(sizes.values()) == len(small_table)
         assert all(size >= 5 for size in sizes.values())
+
+    def test_joint_plan_needs_combination_counts(self, trees, small_table):
+        agent = BinningAgent(
+            trees, UsageMetrics.uniform_depth(trees, 0), KAnonymitySpec(k=5, mode=EnforcementMode.JOINT), "key"
+        )
+        counts = ColumnIndex.from_table(small_table, trees, ["age", "symptom"])
+        assert agent.plan_from_counts(counts).columns == ("age", "symptom")
+        per_leaf_only = ColumnIndex(
+            trees,
+            {
+                column: {leaf.name: rows for leaf, rows in counts.leaf_counts(column).items()}
+                for column in counts.columns
+            },
+        )
+        with pytest.raises(ValueError, match="leaf-combination counts"):
+            agent.plan_from_counts(per_leaf_only)
 
     def test_mono_mode_does_not_necessarily_satisfy_joint(self, binned_small):
         sizes = binned_small.binned.joint_bin_sizes()

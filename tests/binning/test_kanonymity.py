@@ -1,5 +1,7 @@
 """Tests for the k-anonymity specification, bins and the column index."""
 
+from collections import Counter
+
 import pytest
 
 from repro.binning.generalization import Generalization, MultiColumnGeneralization
@@ -7,7 +9,6 @@ from repro.binning.kanonymity import (
     ColumnIndex,
     EnforcementMode,
     KAnonymitySpec,
-    bin_sizes,
     is_k_anonymous,
 )
 from repro.relational.schema import Column, ColumnKind, ColumnType, TableSchema
@@ -70,44 +71,74 @@ class TestIsKAnonymous:
         with pytest.raises(ValueError):
             is_k_anonymous({"a": 1}, 0)
 
-    def test_bin_sizes_delegates_to_group_by(self, ward_table):
-        sizes = bin_sizes(ward_table, ["ward"])
-        assert sizes[("Cardiology",)] == 6
-        assert sum(sizes.values()) == len(ward_table)
-
 
 class TestColumnIndex:
-    def test_row_leaves_and_counts(self, ward_table, ward_trees):
-        index = ColumnIndex(ward_table, ward_trees, ["ward", "age"])
-        assert index.n_rows == len(ward_table)
+    def test_leaf_and_combination_counts(self, ward_table, ward_trees):
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
         assert index.columns == ["ward", "age"]
-        leaves = index.row_leaves("ward")
-        assert len(leaves) == len(ward_table)
-        assert leaves[0].name == "Cardiology"
         counts = index.leaf_counts("ward")
         assert counts[ward_trees["ward"].node("Cardiology")] == 6
         assert sum(counts.values()) == len(ward_table)
+        # One entry per distinct (ward leaf, age leaf) pair, matching a
+        # group-by over the rows resolved to their leaves.
+        expected = Counter(
+            (
+                ward_trees["ward"].leaf_for_raw(row["ward"]).name,
+                ward_trees["age"].leaf_for_raw(row["age"]).name,
+            )
+            for row in ward_table
+        )
+        assert index.combinations == expected
+
+    def test_counts_from_leaf_names_match_the_table(self, ward_table, ward_trees):
+        from_table = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
+        names = {
+            column: {leaf.name: rows for leaf, rows in from_table.leaf_counts(column).items() if rows}
+            for column in ("ward", "age")
+        }
+        from_names = ColumnIndex(ward_trees, names)
+        assert from_names.counts_by_column() == from_table.counts_by_column()
+        assert from_names.combinations is None
+        with pytest.raises(ValueError):
+            from_names.joint_bin_sizes(MultiColumnGeneralization.identity(ward_trees, ["ward", "age"]))
+
+    def test_missing_tree_raises(self, ward_table, ward_trees):
+        with pytest.raises(KeyError):
+            ColumnIndex.from_table(ward_table, {"ward": ward_trees["ward"]}, ["ward", "age"])
+        with pytest.raises(KeyError):
+            ColumnIndex({"ward": ward_trees["ward"]}, {"ward": {}, "age": {}})
+
+    def test_out_of_domain_value_raises(self, ward_trees):
+        schema = TableSchema(
+            (
+                Column("id", ColumnKind.IDENTIFYING, ColumnType.CATEGORICAL),
+                Column("ward", ColumnKind.QUASI_IDENTIFYING, ColumnType.CATEGORICAL),
+            )
+        )
+        table = Table(schema, [{"id": "1", "ward": "Trauma"}, {"id": "2", "ward": "Pediatrics"}])
+        with pytest.raises(ValueError, match="Pediatrics"):
+            ColumnIndex.from_table(table, ward_trees, ["ward"])
 
     def test_counts_by_column_returns_copies(self, ward_table, ward_trees):
-        index = ColumnIndex(ward_table, ward_trees, ["ward"])
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward"])
         counts = index.counts_by_column()["ward"]
         counts.clear()
         assert sum(index.leaf_counts("ward").values()) == len(ward_table)
 
     def test_mono_bin_sizes_identity(self, ward_table, ward_trees):
-        index = ColumnIndex(ward_table, ward_trees, ["ward", "age"])
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
         identity = Generalization.identity(ward_trees["ward"])
         sizes = index.mono_bin_sizes("ward", identity)
         assert sizes[ward_trees["ward"].node("Trauma")] == 2
 
     def test_mono_bin_sizes_generalized(self, ward_table, ward_trees):
-        index = ColumnIndex(ward_table, ward_trees, ["ward", "age"])
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
         coarse = Generalization.from_node_names(ward_trees["ward"], ["Medicine", "Surgery"])
         sizes = {node.name: count for node, count in index.mono_bin_sizes("ward", coarse).items()}
         assert sizes == {"Medicine": 9, "Surgery": 6}
 
     def test_satisfies_mono(self, ward_table, ward_trees):
-        index = ColumnIndex(ward_table, ward_trees, ["ward", "age"])
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
         identity = Generalization.identity(ward_trees["ward"])
         coarse = Generalization.from_node_names(ward_trees["ward"], ["Medicine", "Surgery"])
         assert index.satisfies_mono("ward", identity, 2)
@@ -115,7 +146,7 @@ class TestColumnIndex:
         assert index.satisfies_mono("ward", coarse, 6)
 
     def test_joint_bin_sizes_and_violations(self, ward_table, ward_trees):
-        index = ColumnIndex(ward_table, ward_trees, ["ward", "age"])
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
         multi = MultiColumnGeneralization(
             {
                 "ward": Generalization.from_node_names(ward_trees["ward"], ["Medicine", "Surgery"]),
@@ -125,14 +156,14 @@ class TestColumnIndex:
         sizes = index.joint_bin_sizes(multi)
         assert sum(sizes.values()) == len(ward_table)
         k = 4
-        violations = index.joint_violations(multi, k)
+        violations = index.violating_combinations(multi, k)
         undersized = sum(size for size in sizes.values() if size < k)
-        assert len(violations) == undersized
+        assert 0 < sum(violations.values()) == undersized
         assert index.satisfies_joint(multi, 1)
         assert not index.satisfies_joint(multi, 100)
 
     def test_joint_requires_covered_columns(self, ward_table, ward_trees, role_tree):
-        index = ColumnIndex(ward_table, ward_trees, ["ward", "age"])
+        index = ColumnIndex.from_table(ward_table, ward_trees, ["ward", "age"])
         unrelated = MultiColumnGeneralization({"role": Generalization.identity(role_tree)})
         with pytest.raises(ValueError):
             index.joint_bin_sizes(unrelated)

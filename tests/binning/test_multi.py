@@ -52,7 +52,7 @@ def correlated_table(tiny_tree, age8_tree):
 @pytest.fixture()
 def frontiers(correlated_table, tiny_tree, age8_tree):
     trees = {"ward": tiny_tree, "age": age8_tree}
-    index = ColumnIndex(correlated_table, trees, ["ward", "age"])
+    index = ColumnIndex.from_table(correlated_table, trees, ["ward", "age"])
     k = 8
     maximal = {"ward": [tiny_tree.root], "age": [age8_tree.root]}
     minimal = {
@@ -95,22 +95,20 @@ class TestAllowableGeneralizations:
 class TestGenUltimateNodes:
     def test_exact_search_satisfies_joint_k(self, frontiers):
         trees, index, minimal, maximal, k = frontiers
-        outcome = gen_ultimate_nodes(index, trees, minimal, maximal, k, enumeration_budget=100_000)
+        outcome = gen_ultimate_nodes(index, minimal, maximal, k, enumeration_budget=100_000)
         assert not outcome.used_fallback
-        assert outcome.satisfied
         assert index.satisfies_joint(outcome.generalization, k)
 
     def test_greedy_search_satisfies_joint_k(self, frontiers):
         trees, index, minimal, maximal, k = frontiers
-        outcome = gen_ultimate_nodes(index, trees, minimal, maximal, k, enumeration_budget=1)
+        outcome = gen_ultimate_nodes(index, minimal, maximal, k, enumeration_budget=1)
         assert outcome.used_fallback
-        assert outcome.satisfied
         assert index.satisfies_joint(outcome.generalization, k)
 
     def test_exact_picks_minimal_specificity_loss(self, frontiers):
         trees, index, minimal, maximal, k = frontiers
-        exact = gen_ultimate_nodes(index, trees, minimal, maximal, k, enumeration_budget=100_000)
-        greedy = gen_ultimate_nodes(index, trees, minimal, maximal, k, enumeration_budget=1)
+        exact = gen_ultimate_nodes(index, minimal, maximal, k, enumeration_budget=100_000)
+        greedy = gen_ultimate_nodes(index, minimal, maximal, k, enumeration_budget=1)
         assert (
             exact.generalization.total_specificity_loss()
             <= greedy.generalization.total_specificity_loss() + 1e-9
@@ -118,7 +116,7 @@ class TestGenUltimateNodes:
 
     def test_ultimate_lies_between_frontiers(self, frontiers):
         trees, index, minimal, maximal, k = frontiers
-        outcome = gen_ultimate_nodes(index, trees, minimal, maximal, k)
+        outcome = gen_ultimate_nodes(index, minimal, maximal, k)
         for column in trees:
             ultimate = outcome.generalization[column]
             assert Generalization(trees[column], minimal[column]).is_refinement_of(ultimate)
@@ -139,14 +137,14 @@ class TestGenUltimateNodes:
             rows.append({"id": str(index), "role": "Nurse" if index % 2 else "Clerk", "age": 20 + (index % 2) * 40})
         table = Table(schema, rows)
         trees = {"role": role_tree, "age": age8_tree}
-        index_obj = ColumnIndex(table, trees, ["role", "age"])
+        index_obj = ColumnIndex.from_table(table, trees, ["role", "age"])
         minimal = {
             column: gen_min_nodes(trees[column], [trees[column].root], index_obj.leaf_counts(column), 10)
             for column in trees
         }
         maximal = {column: [trees[column].root] for column in trees}
-        outcome = gen_ultimate_nodes(index_obj, trees, minimal, maximal, 10)
-        assert outcome.satisfied
+        outcome = gen_ultimate_nodes(index_obj, minimal, maximal, 10)
+        assert index_obj.satisfies_joint(outcome.generalization, 10)
         assert outcome.generalization.node_names() == {
             column: Generalization(trees[column], minimal[column]).node_names for column in trees
         }
@@ -160,18 +158,18 @@ class TestGenUltimateNodes:
         )
         table = Table(schema, [{"id": "1", "ward": "Trauma"}, {"id": "2", "ward": "Cardiology"}])
         trees = {"ward": tiny_tree}
-        index = ColumnIndex(table, trees, ["ward"])
+        index = ColumnIndex.from_table(table, trees, ["ward"])
         minimal = {"ward": tiny_tree.leaves()}
         maximal = {"ward": [tiny_tree.root]}
         with pytest.raises(NotBinnableError):
-            gen_ultimate_nodes(index, trees, minimal, maximal, k=5)
+            gen_ultimate_nodes(index, minimal, maximal, k=5)
 
     def test_missing_frontier_rejected(self, frontiers):
         trees, index, minimal, maximal, k = frontiers
         with pytest.raises(KeyError):
-            gen_ultimate_nodes(index, trees, {"ward": minimal["ward"]}, maximal, k)
+            gen_ultimate_nodes(index, {"ward": minimal["ward"]}, maximal, k)
 
     def test_invalid_k_rejected(self, frontiers):
         trees, index, minimal, maximal, _ = frontiers
         with pytest.raises(ValueError):
-            gen_ultimate_nodes(index, trees, minimal, maximal, k=0)
+            gen_ultimate_nodes(index, minimal, maximal, k=0)
