@@ -193,7 +193,7 @@ def _greedy_search(
             for parent, replaced in _coarsening_candidates(tree, cut, maximal_nodes[column]):
                 under = {leaf.name for leaf in parent.leaves()}
                 score = sum(count for leaf, count in violating_leaf_counts.items() if leaf in under)
-                leaf_span = len(parent.leaves())
+                leaf_span = len(under)
                 # Prefer merges that pool many violating rows; break ties by
                 # the smaller subtree merged (less specificity loss).
                 if score > best_score or (score == best_score and best_parent is not None and leaf_span < best_leaf_span):
